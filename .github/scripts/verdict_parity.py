@@ -12,12 +12,6 @@ shared-prefix Fourier enabled (the default) are byte-identical to a
 run with the layer off (``slice_goals=False``, the ``--no-slice``
 CLI flag), sequentially and in parallel.
 
-``--store-parity`` checks the persistent-store backends' promise:
-the sqlite row-merge store and the locked-JSON fallback are
-interchangeable — cold verdicts, warm verdicts, warm replay counts,
-and warm hit rates all match between ``--store sqlite`` and
-``--store json``.
-
 ``--fuzz-corpus`` scales the same promise up: a generated corpus
 (``repro fuzz --corpus-scale``, ~10x the bundled one, with failing
 goals in the mix by construction) driven through ``check-corpus
@@ -67,55 +61,6 @@ def slice_parity() -> int:
         f"{sliced.subsumption_hits} subsumption hit(s), "
         f"{sliced.prefix_reuses} prefix reuse(s), verdicts identical "
         f"with --no-slice"
-    )
-    return 0
-
-
-def store_parity() -> int:
-    runs = {}
-    for backend in ("sqlite", "json"):
-        with tempfile.TemporaryDirectory(prefix=f"repro-{backend}") as tmp:
-            cold = driver.check_corpus(
-                jobs=1, cache_dir=tmp, store=backend, clear=True
-            )
-            warm = driver.check_corpus(jobs=1, cache_dir=tmp, store=backend)
-        runs[backend] = (cold, warm)
-        if not cold.all_ok:
-            print(f"{backend} cold corpus run failed", file=sys.stderr)
-            return 1
-        if cold.store != backend:
-            print(
-                f"requested store {backend}, report says {cold.store}",
-                file=sys.stderr,
-            )
-            return 1
-        if warm.hit_rate < 0.90:
-            print(
-                f"{backend} warm hit rate {warm.hit_rate:.2f} < 0.90",
-                file=sys.stderr,
-            )
-            return 1
-
-    sq_cold, sq_warm = runs["sqlite"]
-    js_cold, js_warm = runs["json"]
-    if verdicts(sq_cold) != verdicts(js_cold):
-        print("cold verdicts diverged between stores", file=sys.stderr)
-        return 1
-    if verdicts(sq_warm) != verdicts(js_warm):
-        print("warm verdicts diverged between stores", file=sys.stderr)
-        return 1
-    if sq_warm.goals_replayed != js_warm.goals_replayed:
-        print(
-            f"warm replay counts diverged: sqlite {sq_warm.goals_replayed} "
-            f"!= json {js_warm.goals_replayed}",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"store parity ok: {sq_cold.goals} goals, "
-        f"{sq_warm.goals_replayed} replayed warm on both backends, "
-        f"hit rates sqlite {sq_warm.hit_rate:.0%} / "
-        f"json {js_warm.hit_rate:.0%}"
     )
     return 0
 
@@ -246,8 +191,6 @@ def serve_executor_parity() -> int:
 def main() -> int:
     if "--slice-parity" in sys.argv[1:]:
         return slice_parity()
-    if "--store-parity" in sys.argv[1:]:
-        return store_parity()
     if "--fuzz-corpus" in sys.argv[1:]:
         return fuzz_corpus_parity()
     if "--serve-executor-parity" in sys.argv[1:]:

@@ -34,7 +34,6 @@ from typing import Any, Callable
 
 from repro import api
 from repro.compile.dialects import dialect_names
-from repro.driver.store import DEFAULT_CACHE_DIR, DEFAULT_STORE, STORE_BACKENDS
 from repro.eval.interp import Interpreter
 from repro.eval.values import from_pylist, render
 from repro.lang.errors import DMLError
@@ -139,38 +138,22 @@ def cmd_goals(args: argparse.Namespace) -> int:
     return 0 if report.all_proved else 1
 
 
-def _open_compile_cache(args: argparse.Namespace):
-    """(cache, disk_store) for ``repro compile``/``compile-and-run``.
-
-    The persistent verdict store (PR 7's ``--store``) activates when
-    ``--store`` or ``--cache-dir`` is given: the solver cache is seeded
-    from it before checking and absorbed back after, so a daemon- or
-    corpus-populated sqlite store warms compile runs too.  Without
-    either flag the legacy in-memory ``--cache`` semantics apply and
-    ``disk_store`` is ``None``.
-    """
-    store = getattr(args, "store", None)
-    cache_dir = getattr(args, "cache_dir", None)
-    if store is None and cache_dir is None:
-        return args.cache, None
-    from repro.driver.store import open_store
-    from repro.solver.portfolio import SolverCache
-
-    disk = open_store(cache_dir or DEFAULT_CACHE_DIR, store or DEFAULT_STORE)
-    cache = SolverCache(maxsize=65536)
-    disk.seed(cache)
-    return cache, disk
-
-
-def _persist_compile_cache(cache, disk) -> None:
-    if disk is not None:
-        disk.absorb(cache)
-        disk.save()
-
-
 def _compile_source(args: argparse.Namespace, source: str, name: str):
-    """Shared check+plan+codegen step with store round-trip."""
-    cache, disk = _open_compile_cache(args)
+    """Shared check+plan+codegen step with store round-trip.
+
+    ``--cache-dir`` turns the persistent verdict store on: the solver
+    cache is seeded from it before checking and absorbed back after,
+    so a daemon- or corpus-populated store warms compile runs too.
+    Without it the in-memory ``--cache`` semantics apply.
+    """
+    cache, disk = args.cache, None
+    if args.cache_dir is not None:
+        from repro.driver.store import open_store
+        from repro.solver.portfolio import SolverCache
+
+        disk = open_store(args.cache_dir)
+        cache = SolverCache(maxsize=65536)
+        disk.seed(cache)
     result = api.compile(
         source, name,
         dialect=getattr(args, "dialect", "plain"),
@@ -179,7 +162,9 @@ def _compile_source(args: argparse.Namespace, source: str, name: str):
         limits=_limits(args),
         slice_goals=not args.no_slice,
     )
-    _persist_compile_cache(cache, disk)
+    if disk is not None:
+        disk.absorb(cache)
+        disk.close()
     # The eliminated-checks summary goes to stderr in every output
     # mode, so piping the generated source (or timing table) leaves
     # the summary visible.
@@ -443,7 +428,6 @@ def cmd_check_corpus(args: argparse.Namespace) -> int:
         backend=args.backend,
         executor=args.executor,
         cache_dir=None if args.no_cache else args.cache_dir,
-        store=args.store,
         clear=args.clear_cache,
         limits=_limits(args),
         slice_goals=not args.no_slice,
@@ -522,7 +506,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
-        store=args.store,
         caps=caps,
         slice_goals=not args.no_slice,
         executor=args.executor,
@@ -599,15 +582,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "dialect.")
 
     def store_flags(p):
-        p.add_argument("--store", choices=list(STORE_BACKENDS), default=None,
-                       help="persistent verdict store backend: giving "
-                            "--store or --cache-dir seeds the solver "
-                            "cache from the shared store (daemon/corpus "
-                            "runs warm compiles) and writes new verdicts "
-                            f"back (default backend: {DEFAULT_STORE})")
         p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="persistent verdict cache directory (implies "
-                            f"--store; default: {DEFAULT_CACHE_DIR})")
+                       help="persistent verdict cache directory: seeds "
+                            "the solver cache from the shared store "
+                            "(daemon/corpus runs warm compiles) and "
+                            "writes new verdicts back (default: off)")
 
     p_check = sub.add_parser("check", help="type-check a program")
     common(p_check)
@@ -708,11 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=".repro-cache", metavar="DIR",
         help="persistent verdict cache directory (default: .repro-cache)")
     p_corpus.add_argument(
-        "--store", choices=list(STORE_BACKENDS), default=DEFAULT_STORE,
-        help="persistent store backend: sqlite (WAL; concurrent "
-             "writers merge at row granularity) or json (single "
-             "file under an fcntl lock)")
-    p_corpus.add_argument(
         "--no-cache", action="store_true",
         help="disable the persistent cache entirely")
     p_corpus.add_argument(
@@ -812,11 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
                          help="persistent verdict cache directory "
                               "(default: .repro-cache)")
-    p_serve.add_argument("--store", choices=list(STORE_BACKENDS),
-                         default=DEFAULT_STORE,
-                         help="persistent store backend (sqlite: safe to "
-                              "share the cache directory with concurrent "
-                              "check-corpus runs; json: locked fallback)")
     p_serve.add_argument("--no-cache", action="store_true",
                          help="run without the persistent verdict cache")
     p_serve.add_argument("--no-slice", action="store_true",

@@ -11,16 +11,14 @@ Public surface::
     corpus = driver.check_corpus(jobs=4, cache_dir=".repro-cache")
     print(corpus.render())
 
-The persistent verdict store is pluggable (``driver.open_store(dir,
-"sqlite"|"json")``): :class:`~repro.driver.store.SqliteVerdictStore`
-is the concurrent-writer-safe default, :class:`DiskCache` the JSON
-fallback.  See :mod:`repro.driver.core` for the architecture,
-:mod:`repro.driver.store` for the store interface and merge
-semantics, and :mod:`repro.driver.hashing` for the
-incrementality/invalidation rules.
+The persistent verdict store (``driver.open_store(dir)``) is one
+sqlite database that concurrent writers share safely.  See
+:mod:`repro.driver.core` for the architecture,
+:mod:`repro.driver.store` for the store and its merge semantics, and
+:mod:`repro.driver.hashing` for the incrementality/invalidation
+rules.
 """
 
-from repro.driver.cache import DiskCache
 from repro.driver.core import (
     CorpusReport,
     DriverReport,
@@ -32,20 +30,13 @@ from repro.driver.core import (
 from repro.driver.hashing import decl_keys, prelude_hash
 from repro.driver.store import (
     DEFAULT_CACHE_DIR,
-    DEFAULT_STORE,
-    STORE_BACKENDS,
     SqliteVerdictStore,
-    VerdictStore,
     open_store,
 )
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
-    "DEFAULT_STORE",
-    "STORE_BACKENDS",
-    "DiskCache",
     "SqliteVerdictStore",
-    "VerdictStore",
     "open_store",
     "CorpusReport",
     "DriverReport",

@@ -13,23 +13,16 @@ a batch service:
   verdicts are identical to ``api.check`` regardless of scheduling.
   :func:`check_corpus` additionally fans whole programs out, over a
   thread pool or (``executor="process"``) a process pool.
-* **Incremental re-checking** — a pluggable
-  :class:`~repro.driver.store.VerdictStore` (sqlite-WAL by default,
-  locked JSON as the fallback; ``--store``) persists both solver
+* **Incremental re-checking** — the sqlite
+  :class:`~repro.driver.store.SqliteVerdictStore` persists both solver
   verdicts (canonical-key level) and whole declaration verdict records
   (content-hash level, see :mod:`repro.driver.hashing`) under
   ``.repro-cache/``.  A warm run of an unchanged declaration replays
   its verdicts without a single backend query; an edited declaration
   invalidates only itself and its suffix, and usually still answers
-  most backend queries from the persisted solver layer.  Both store
-  backends merge concurrent writers' entries instead of overwriting
-  them, so a daemon and a corpus run can share one cache directory.
-* **Cache-aware scheduling** — the store's cross-run declaration hit
-  counts order the parallel solve queue: goals from rarely-hit
-  (likely cold, likely expensive) declarations start first so they
-  never become the stragglers of a batch.  Results land in
-  declaration-order slots, so scheduling cannot influence verdict
-  order, let alone verdicts.
+  most backend queries from the persisted solver layer.  The store
+  merges concurrent writers' rows instead of overwriting them, so a
+  daemon and a corpus run can share one cache directory.
 * **Telemetry** — per-program wall clock, worker utilization, cache
   hit rates, and replay counts, aggregated corpus-wide by
   :class:`CorpusReport` (the ``repro check-corpus`` CLI prints it).
@@ -47,12 +40,7 @@ from pathlib import Path
 from repro import api, programs
 from repro.api import CheckReport
 from repro.driver.hashing import decl_keys, prelude_hash
-from repro.driver.store import (
-    DEFAULT_STORE,
-    GoalRecord,
-    VerdictStore,
-    open_store,
-)
+from repro.driver.store import GoalRecord, SqliteVerdictStore, open_store
 from repro.indices.terms import EvarStore
 from repro.solver.backends import Backend
 from repro.solver.budget import SolverLimits
@@ -152,7 +140,7 @@ def check_program(
     backend: Backend | str = "fourier",
     jobs: int | None = 1,
     cache: SolverCache | None = None,
-    disk: VerdictStore | None = None,
+    disk: SqliteVerdictStore | None = None,
     telemetry: SolverTelemetry | None = None,
     include_prelude: bool = True,
     seed: bool = True,
@@ -244,9 +232,6 @@ def check_program(
         for gi, goal in enumerate(goals):
             pending.append((di, gi, goal, snapshot))
 
-    if disk is not None and len(pending) > 1:
-        _schedule_rare_first(pending, decl_cache_keys, disk.decl_hit_counts())
-
     # -- parallel solve phase -------------------------------------------
     worker_state = threading.local()
     worker_telemetries: list[SolverTelemetry] = []
@@ -333,7 +318,6 @@ def check_program(
             )
         if persist:
             disk.absorb(cache)
-            disk.save()
 
     stats.wall_seconds = time.perf_counter() - started
     report = CheckReport(
@@ -350,25 +334,6 @@ def check_program(
         telemetry=telemetry,
     )
     return DriverReport(report=report, driver=stats)
-
-
-def _schedule_rare_first(
-    pending: list[tuple[int, int, Goal, EvarStore]],
-    decl_cache_keys: list[str | None],
-    hit_counts: dict[str, int],
-) -> None:
-    """Cache-aware solve ordering: goals from declarations with low
-    cross-run hit counts (never replayed — likely cold, likely the
-    expensive ones) go to the workers first, so the slowest solves
-    start earliest instead of straggling at the batch's tail.  The
-    sort is stable and results land in ``slots[di][gi]``, so verdict
-    *order* (and a fortiori verdicts) cannot change."""
-
-    def rarity(task: tuple[int, int, Goal, EvarStore]) -> int:
-        key = decl_cache_keys[task[0]]
-        return hit_counts.get(key, 0) if key is not None else 0
-
-    pending.sort(key=rarity)
 
 
 def _replayable(records: list[GoalRecord], goals: list[Goal]) -> bool:
@@ -484,7 +449,7 @@ class CorpusReport:
     preloaded: int = 0
     solver_entries: int = 0
     corrupt_cache: bool = False
-    #: Persistent store backend in use ("sqlite" / "json" / "none").
+    #: Persistent store in use ("sqlite" / "none").
     store: str = "none"
 
     @property
@@ -622,30 +587,29 @@ def _dir_names(source_dir: str) -> list[str]:
 
 def _check_one_process(
     args: tuple[
-        str, str, str | None, str, int | None, float | None, bool, str | None
+        str, str, str | None, int | None, float | None, bool, str | None
     ],
 ) -> tuple[ProgramResult, list[tuple[str, str, bool]], dict[str, list[GoalRecord]]]:
     """Process-pool worker: check one bundled program in isolation.
 
     Reads the on-disk cache directly (read-only), and ships fresh
     solver verdicts and declaration records back to the parent as
-    picklable primitives; the parent folds them into its own
-    :class:`DiskCache` and saves once.  Budget limits travel as plain
-    ``(max_steps, goal_timeout)`` primitives — each worker rebuilds the
-    :class:`SolverLimits`, and every goal gets its own deadline anchored
-    when *its* solve starts (a shared absolute deadline would penalize
-    late-scheduled programs).  The slicing flag travels the same way;
-    each worker builds its own :class:`SliceContext` inside
-    :func:`check_program`.
+    picklable primitives; the parent folds them into its own store.
+    Budget limits travel as plain ``(max_steps, goal_timeout)``
+    primitives — each worker rebuilds the :class:`SolverLimits`, and
+    every goal gets its own deadline anchored when *its* solve starts
+    (a shared absolute deadline would penalize late-scheduled
+    programs).  The slicing flag travels the same way; each worker
+    builds its own :class:`SliceContext` inside :func:`check_program`.
     """
-    (name, backend, cache_dir, store, max_steps, goal_timeout,
+    (name, backend, cache_dir, max_steps, goal_timeout,
      slice_goals, source_dir) = args
     limits = (
         SolverLimits(max_steps=max_steps, goal_timeout=goal_timeout)
         if (max_steps is not None or goal_timeout is not None)
         else None
     )
-    disk = open_store(cache_dir, store) if cache_dir is not None else None
+    disk = open_store(cache_dir) if cache_dir is not None else None
     cache = SolverCache(maxsize=65536)
     try:
         outcome = check_program(
@@ -677,7 +641,6 @@ def check_corpus(
     backend: str = "fourier",
     executor: str = "thread",
     cache_dir: str | None = None,
-    store: str = DEFAULT_STORE,
     clear: bool = False,
     limits: SolverLimits | None = None,
     slice_goals: bool = True,
@@ -689,10 +652,8 @@ def check_corpus(
     workers (late programs reuse verdicts solved by early ones in the
     same run); ``executor="process"`` sidesteps the GIL for CPU-bound
     corpora — workers share only the persisted cache, and their fresh
-    verdicts are merged and saved by the parent.  ``cache_dir`` enables
-    the persistent layers (``None`` disables them) and ``store``
-    selects the backend (``"sqlite"`` row-merge WAL store by default,
-    ``"json"`` the locked single-file fallback); ``clear`` wipes the
+    verdicts are merged into the store by the parent.  ``cache_dir`` enables
+    the persistent layers (``None`` disables them); ``clear`` wipes the
     persisted state first (a guaranteed-cold run).
 
     ``source_dir`` switches the program source from the bundled corpus
@@ -707,7 +668,7 @@ def check_corpus(
             else programs.available()
         )
     jobs = _effective_jobs(jobs)
-    disk = open_store(cache_dir, store) if cache_dir is not None else None
+    disk = open_store(cache_dir) if cache_dir is not None else None
     if disk is not None and clear:
         disk.clear()
     started = time.perf_counter()
@@ -716,7 +677,7 @@ def check_corpus(
     if executor == "process" and jobs > 1:
         tasks = [
             (
-                name, backend, cache_dir, store,
+                name, backend, cache_dir,
                 limits.max_steps if limits is not None else None,
                 limits.goal_timeout if limits is not None else None,
                 slice_goals,
@@ -767,8 +728,6 @@ def check_corpus(
             disk.absorb(shared)
 
     corrupt = disk.corrupt if disk is not None else False
-    if disk is not None:
-        disk.save()
     solver_entries = disk.solver_entry_count if disk is not None else 0
     if disk is not None:
         disk.close()
@@ -781,5 +740,5 @@ def check_corpus(
         preloaded=preloaded,
         solver_entries=solver_entries,
         corrupt_cache=corrupt,
-        store=disk.kind if disk is not None else "none",
+        store="sqlite" if disk is not None else "none",
     )

@@ -31,8 +31,8 @@ from typing import Sequence
 from repro.lang import ast
 
 #: Bump when the meaning of a stored verdict changes (goal extraction,
-#: solver semantics, record layout).
-SCHEMA_VERSION = 1
+#: solver semantics, record layout) or the store's table layout does.
+SCHEMA_VERSION = 2
 
 
 def prelude_hash() -> str:

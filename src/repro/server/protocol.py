@@ -204,8 +204,8 @@ def check_response(
 
     ``verdicts`` carries the exact ``(origin, proved, reason)`` triples
     of the sequential checker — the parity currency shared with the
-    driver's :class:`~repro.driver.cache.DiskCache` records and the CI
-    smoke jobs.
+    driver's :class:`~repro.driver.store.SqliteVerdictStore` records
+    and the CI smoke jobs.
     """
     return {
         "name": report.name,

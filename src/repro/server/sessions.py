@@ -12,13 +12,13 @@ What stays warm across requests (and why each piece is safe to share):
   (:mod:`repro.indices.intern`); sharing is its whole point.
 * **the solver-verdict cache** — one locked
   :class:`~repro.solver.portfolio.SolverCache`, seeded from the
-  persistent :class:`~repro.driver.store.VerdictStore` at startup and
-  absorbed back periodically (behind a dedicated persist lock, so two
-  worker threads crossing the persist boundary never run concurrent
-  absorb+save cycles).  Canonical keys quotient by variable renaming,
-  so verdicts cached by one request answer structurally identical
-  queries from any other; the sqlite store's row-merge writes mean a
-  daemon can safely share its cache directory with concurrent
+  persistent :class:`~repro.driver.store.SqliteVerdictStore` at
+  startup and absorbed back periodically (behind a dedicated persist
+  lock, so two worker threads crossing the persist boundary never run
+  concurrent absorb cycles).  Canonical keys quotient by variable
+  renaming, so verdicts cached by one request answer structurally
+  identical queries from any other; the store's row-merge writes mean
+  a daemon can safely share its cache directory with concurrent
   ``repro check-corpus`` runs.
 * **the slice context** — one locked
   :class:`~repro.solver.slice.SliceContext`: refuted cores and
@@ -44,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import api
-from repro.driver.store import DEFAULT_CACHE_DIR, DEFAULT_STORE, open_store
+from repro.driver.store import DEFAULT_CACHE_DIR, open_store
 from repro.lang.errors import DMLError
 from repro.server.protocol import (
     PROTOCOL_VERSION,
@@ -56,7 +56,7 @@ from repro.solver.budget import DEFAULT_LIMITS, SolverLimits
 from repro.solver.portfolio import SolverCache, SolverTelemetry
 from repro.solver.slice import SliceContext
 
-#: Absorb-and-save the persistent cache every this many checks (plus
+#: Absorb into the persistent store every this many checks (plus
 #: once at shutdown); a crash in between loses at most an optimization.
 _PERSIST_EVERY = 64
 
@@ -91,9 +91,6 @@ class ServerConfig:
     jobs: int | None = None
     #: Persistent verdict cache directory (``None`` disables it).
     cache_dir: str | None = DEFAULT_CACHE_DIR
-    #: Persistent store backend ("sqlite" row-merge WAL store, or
-    #: "json" for the locked single-file fallback).
-    store: str = DEFAULT_STORE
     #: Server-side admission caps; client-requested budgets are
     #: clamped against these (``None`` components = uncapped).
     caps: SolverLimits = field(default_factory=lambda: DEFAULT_LIMITS)
@@ -143,7 +140,7 @@ class CheckService:
         # template, intern table, and seeded cache via copy-on-write.
         api._prelude_inferencer()
         self.disk = (
-            open_store(self.config.cache_dir, self.config.store)
+            open_store(self.config.cache_dir)
             if self.config.cache_dir is not None
             else None
         )
@@ -169,12 +166,12 @@ class CheckService:
             thread_name_prefix="repro-serve",
         )
         self._lock = threading.Lock()
-        #: Serializes absorb+save cycles against the persistent store.
+        #: Serializes absorb cycles against the persistent store.
         #: Distinct from ``_lock`` (the counter lock): persistence does
         #: disk I/O and must never be held while counters are updated,
         #: nor run concurrently with itself — two worker threads
         #: crossing the persist boundary together used to both run
-        #: full absorb+save cycles at once.
+        #: full absorb cycles at once.
         self._persist_lock = threading.Lock()
         self._started = time.monotonic()
         self._unsaved = 0
@@ -309,15 +306,12 @@ class CheckService:
             if due:
                 self._unsaved = 0
         if due:
-            # The persist lock serializes the absorb+save cycle: the
+            # The persist lock serializes the absorb cycle: the
             # due-decision above runs under the counter lock, but two
             # worker threads could both see `due` across a batch
-            # boundary and previously ran full concurrent cycles
-            # (wasted work at best; interleaved whole-file writes for
-            # the JSON backend at worst).
+            # boundary and would otherwise run full concurrent cycles.
             with self._persist_lock:
                 self.disk.absorb(self.cache)
-                self.disk.save()
 
     def close(self) -> None:
         """Flush the persistent cache and stop the worker pool."""

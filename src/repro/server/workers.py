@@ -20,9 +20,9 @@ Lifecycle and safety:
   (connections must not cross ``fork``); each opens its own WAL
   connection after the fork and absorbs its fresh verdicts
   periodically and at exit.  The parent periodically
-  :meth:`~repro.driver.store.VerdictStore.refresh`-es its own cache so
-  workers respawned later fork from a view that already contains
-  their siblings' persisted verdicts.
+  :meth:`~repro.driver.store.SqliteVerdictStore.refresh`-es its own
+  cache so workers respawned later fork from a view that already
+  contains their siblings' persisted verdicts.
 * **Containment** — a worker that crashes (pipe EOF) or wedges past
   ``worker_timeout`` is killed, reaped, and respawned; the in-flight
   request fails with a contained error and the daemon keeps serving.
@@ -88,7 +88,6 @@ def _worker_main(
     cache: SolverCache,
     backend_default: str,
     cache_dir: str | None,
-    store_backend: str,
     slice_goals: bool,
 ) -> None:
     """The forked child's request loop.
@@ -100,9 +99,7 @@ def _worker_main(
     not cross a ``fork``.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns shutdown
-    disk = (
-        open_store(cache_dir, store_backend) if cache_dir is not None else None
-    )
+    disk = open_store(cache_dir) if cache_dir is not None else None
     pool_telemetry = SolverTelemetry()
     slicing = SliceContext(pool_telemetry) if slice_goals else None
     unsaved = 0
@@ -141,7 +138,6 @@ def _worker_main(
             unsaved += 1
             if disk is not None and unsaved >= _WORKER_PERSIST_EVERY:
                 disk.absorb(cache)
-                disk.save()
                 unsaved = 0
         except DMLError as exc:
             reply = (
@@ -161,7 +157,6 @@ def _worker_main(
     if disk is not None:
         if unsaved:
             disk.absorb(cache)
-            disk.save()
         disk.close()
     conn.close()
 
@@ -226,7 +221,6 @@ class ProcessWorkerPool:
                 self._cache,
                 self._config.backend,
                 self._config.cache_dir,
-                self._config.store,
                 self._config.slice_goals,
             ),
             name=f"repro-serve-worker-{wid}",

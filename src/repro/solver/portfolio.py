@@ -181,9 +181,6 @@ class SolverCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Entries that answered at least one lookup — the persistent
-        #: store bumps its cross-run hit counts from this set.
-        self._hit_keys: set[tuple[str, CanonicalKey]] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -197,7 +194,6 @@ class SolverCache:
                 return None
             self._entries.move_to_end(entry)
             self.hits += 1
-            self._hit_keys.add(entry)
             return self._entries[entry]
 
     def store(self, backend: str, key: CanonicalKey, verdict: bool) -> int:
@@ -227,16 +223,9 @@ class SolverCache:
         for (backend, key), verdict in snapshot:
             yield backend, key, verdict
 
-    def hit_keys(self) -> set[tuple[str, CanonicalKey]]:
-        """Snapshot of the ``(backend, key)`` pairs that answered at
-        least one lookup (hits on since-evicted entries included)."""
-        with self._lock:
-            return set(self._hit_keys)
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._hit_keys.clear()
 
 
 @dataclass

@@ -1,12 +1,12 @@
-"""The on-disk verdict store: round-trips, atomicity, corruption."""
+"""The on-disk verdict store file: round-trips, clearing, corruption,
+and schema generations."""
 
-import json
-import os
+import sqlite3
 
-from repro.driver.cache import CACHE_FILENAME, DiskCache
 from repro.driver.hashing import SCHEMA_VERSION
+from repro.driver.store import DB_FILENAME, open_store
 from repro.indices.linear import Atom, LinComb
-from repro.solver.portfolio import SolverCache, canonical_key
+from repro.solver.portfolio import SolverCache, canonical_key, encode_key
 
 
 def some_key():
@@ -22,12 +22,12 @@ def filled_memory_cache() -> SolverCache:
 
 class TestRoundTrip:
     def test_solver_and_decl_layers_survive_a_reload(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = open_store(tmp_path)
         assert disk.absorb(filled_memory_cache()) == 1
         disk.decl_store("abc123", [("sub#1", True, "")])
-        disk.save()
+        disk.close()
 
-        fresh = DiskCache(tmp_path)
+        fresh = open_store(tmp_path)
         assert not fresh.corrupt
         assert fresh.loaded_solver == 1
         assert fresh.loaded_decls == 1
@@ -38,46 +38,28 @@ class TestRoundTrip:
         assert seeded.lookup("fourier", some_key()) is True
         # Seeding must not count as a hit in the seeded cache's stats.
         assert seeded.hits == 1  # the lookup just above, nothing else
+        fresh.close()
 
     def test_absorb_counts_only_new_entries(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = open_store(tmp_path)
         assert disk.absorb(filled_memory_cache()) == 1
         assert disk.absorb(filled_memory_cache()) == 0
         assert disk.solver_entry_count == 1
+        disk.close()
 
     def test_missing_file_is_a_clean_cold_start(self, tmp_path):
-        disk = DiskCache(tmp_path / "never-written")
+        disk = open_store(tmp_path / "never-written")
         assert not disk.corrupt
         assert disk.loaded_solver == disk.loaded_decls == 0
-
-    def test_save_leaves_no_temp_files(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        disk.decl_store("k", [("sub#1", True, "")])
-        disk.save()
-        # The advisory lockfile is a deliberate, stable artifact; what
-        # must never survive a save is a mkstemp *.tmp leftover.
-        published = [
-            name for name in os.listdir(tmp_path)
-            if not name.endswith(".lock")
-        ]
-        assert sorted(published) == [CACHE_FILENAME]
-
-    def test_clear_removes_the_file(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        disk.decl_store("k", [("sub#1", True, "")])
-        disk.save()
-        disk.clear()
-        assert disk.decl_lookup("k") is None
-        assert not (tmp_path / CACHE_FILENAME).exists()
-        assert DiskCache(tmp_path).loaded_decls == 0
+        disk.close()
 
     def test_clear_resets_statistics(self, tmp_path):
-        # Fill, save, and reload so every statistic is nonzero.
-        disk = DiskCache(tmp_path)
+        # Fill and reopen so every statistic is nonzero.
+        disk = open_store(tmp_path)
         disk.absorb(filled_memory_cache())
         disk.decl_store("abc", [("sub#1", True, "")])
-        disk.save()
-        warmed = DiskCache(tmp_path)
+        disk.close()
+        warmed = open_store(tmp_path)
         assert warmed.decl_lookup("abc") is not None  # one hit
         assert warmed.decl_lookup("missing") is None  # one miss
         assert warmed.loaded_solver == 1
@@ -95,104 +77,115 @@ class TestRoundTrip:
         assert warmed.corrupt is False
         assert warmed.solver_entry_count == 0
         assert warmed.decl_entry_count == 0
+        warmed.close()
 
     def test_clear_resets_the_corrupt_flag(self, tmp_path):
-        (tmp_path / CACHE_FILENAME).write_text("{not json")
-        disk = DiskCache(tmp_path)
+        (tmp_path / DB_FILENAME).write_bytes(b"garbage")
+        disk = open_store(tmp_path)
         assert disk.corrupt
         disk.clear()
         assert disk.corrupt is False
+        disk.close()
 
-    def test_save_preserves_existing_permissions(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        disk.decl_store("k", [("sub#1", True, "")])
-        disk.save()
-        os.chmod(tmp_path / CACHE_FILENAME, 0o604)
-        disk.decl_store("k2", [("sub#2", True, "")])
-        disk.save()
-        mode = os.stat(tmp_path / CACHE_FILENAME).st_mode & 0o777
-        assert mode == 0o604
 
-    def test_fresh_save_honors_the_umask_not_mkstemp(self, tmp_path):
-        umask = os.umask(0)
-        os.umask(umask)
-        disk = DiskCache(tmp_path)
-        disk.decl_store("k", [("sub#1", True, "")])
-        disk.save()
-        mode = os.stat(tmp_path / CACHE_FILENAME).st_mode & 0o777
-        # mkstemp's 0600 must not leak through to the published file.
-        assert mode == (0o666 & ~umask)
+def write_store(path, *, version: int, pre_change: bool = False) -> None:
+    """A populated store file stamped ``version``.  ``pre_change``
+    uses the layout before solver rows got never-reused ids (a
+    ``(backend, key)`` primary key, plus hit-count columns)."""
+    conn = sqlite3.connect(str(path))
+    if pre_change:
+        conn.execute(
+            "CREATE TABLE solver (backend TEXT NOT NULL, key TEXT NOT NULL,"
+            " verdict INTEGER NOT NULL, hits INTEGER NOT NULL DEFAULT 0,"
+            " PRIMARY KEY (backend, key))"
+        )
+        conn.execute(
+            "CREATE TABLE decls (key TEXT PRIMARY KEY,"
+            " records TEXT NOT NULL, hits INTEGER NOT NULL DEFAULT 0)"
+        )
+    else:
+        conn.execute(
+            "CREATE TABLE solver (id INTEGER PRIMARY KEY AUTOINCREMENT,"
+            " backend TEXT NOT NULL, key TEXT NOT NULL,"
+            " verdict INTEGER NOT NULL, UNIQUE (backend, key))"
+        )
+        conn.execute(
+            "CREATE TABLE decls (key TEXT PRIMARY KEY, records TEXT NOT NULL)"
+        )
+    conn.execute(
+        "INSERT INTO solver (backend, key, verdict) VALUES (?, ?, 1)",
+        ("fourier", encode_key(some_key())),
+    )
+    conn.execute(
+        "INSERT INTO decls (key, records) VALUES (?, ?)",
+        ("abc", '[["sub#1",true,""]]'),
+    )
+    conn.execute(f"PRAGMA user_version = {version}")
+    conn.commit()
+    conn.close()
 
 
 class TestCorruption:
-    def write(self, tmp_path, text: str) -> None:
-        (tmp_path / CACHE_FILENAME).write_text(text)
-
     def test_garbage_bytes(self, tmp_path):
-        self.write(tmp_path, "{not json")
-        disk = DiskCache(tmp_path)
+        (tmp_path / DB_FILENAME).write_bytes(b"\x00garbage, not a database")
+        disk = open_store(tmp_path)
         assert disk.corrupt
         assert disk.loaded_solver == disk.loaded_decls == 0
+        disk.close()
 
     def test_wrong_schema_version(self, tmp_path):
-        self.write(
-            tmp_path,
-            json.dumps(
-                {"version": SCHEMA_VERSION + 1, "solver": {}, "decls": {}}
-            ),
-        )
-        assert DiskCache(tmp_path).corrupt
+        # Another schema generation's populated file, and a file written
+        # before the current layout (stamped with the previous version):
+        # both open as a flagged cold start and seed nothing.
+        for name, version, pre_change in [
+            ("next", SCHEMA_VERSION + 1, False),
+            ("pre-change", 1, True),
+        ]:
+            root = tmp_path / name
+            root.mkdir()
+            write_store(root / DB_FILENAME, version=version,
+                        pre_change=pre_change)
+            disk = open_store(root)
+            assert disk.corrupt, name
+            assert disk.loaded_solver == disk.loaded_decls == 0, name
+            assert disk.seed(SolverCache()) == 0, name
+            assert disk.decl_lookup("abc") is None, name
+            disk.close()
 
     def test_malformed_canonical_key(self, tmp_path):
-        self.write(
-            tmp_path,
-            json.dumps(
-                {
-                    "version": SCHEMA_VERSION,
-                    "solver": {"fourier": {"[[1,2,3]]": True}},
-                    "decls": {},
-                }
-            ),
-        )
-        disk = DiskCache(tmp_path)
-        assert disk.corrupt
-        assert disk.loaded_solver == 0
-
-    def test_non_boolean_verdict(self, tmp_path):
-        from repro.solver.portfolio import encode_key
-
-        self.write(
-            tmp_path,
-            json.dumps(
-                {
-                    "version": SCHEMA_VERSION,
-                    "solver": {"fourier": {encode_key(some_key()): "yes"}},
-                    "decls": {},
-                }
-            ),
-        )
-        assert DiskCache(tmp_path).corrupt
+        disk = open_store(tmp_path)
+        disk.absorb(filled_memory_cache())
+        with disk._lock:
+            disk._conn.execute(
+                "INSERT INTO solver (backend, key, verdict)"
+                " VALUES ('fourier', '[[1,2,3]]', 1)"
+            )
+        # The malformed row is dropped, never trusted.
+        seeded = SolverCache()
+        assert disk.seed(seeded) == 1
+        assert len(seeded) == 1
+        disk.close()
 
     def test_malformed_goal_record(self, tmp_path):
-        self.write(
-            tmp_path,
-            json.dumps(
-                {
-                    "version": SCHEMA_VERSION,
-                    "solver": {},
-                    "decls": {"abc": [["sub#1", True]]},
-                }
-            ),
-        )
-        disk = DiskCache(tmp_path)
-        assert disk.corrupt
+        disk = open_store(tmp_path)
+        with disk._lock:
+            disk._conn.execute(
+                "INSERT INTO decls (key, records) VALUES ('abc', ?)",
+                ('[["sub#1",true]]',),
+            )
         assert disk.decl_lookup("abc") is None
+        assert disk.decl_misses == 1
+        assert disk.decl_entries() == {}
+        disk.close()
 
     def test_corrupt_file_is_overwritten_on_save(self, tmp_path):
-        self.write(tmp_path, "{not json")
-        disk = DiskCache(tmp_path)
+        (tmp_path / DB_FILENAME).write_bytes(b"garbage")
+        disk = open_store(tmp_path)
+        disk.absorb(filled_memory_cache())
         disk.decl_store("k", [("sub#1", True, "")])
-        disk.save()
-        fresh = DiskCache(tmp_path)
+        disk.close()
+        fresh = open_store(tmp_path)
         assert not fresh.corrupt
+        assert fresh.loaded_solver == 1
         assert fresh.decl_lookup("k") == [("sub#1", True, "")]
+        fresh.close()

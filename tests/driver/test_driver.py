@@ -3,7 +3,7 @@
 import pytest
 
 from repro import api, driver, programs
-from repro.driver.cache import CACHE_FILENAME, DiskCache
+from repro.driver.store import DB_FILENAME, open_store
 
 GUARDED = (
     "fun f(x) = 10 div x\n"
@@ -56,12 +56,12 @@ class TestParity:
 class TestIncrementality:
     def test_warm_rerun_replays_every_declaration(self, tmp_path):
         source = programs.load_source("bsearch")
-        disk = DiskCache(tmp_path)
+        disk = open_store(tmp_path)
         cold = driver.check_program(source, "bsearch.dml", disk=disk)
         assert cold.driver.goals_replayed == 0
         assert cold.driver.decl_misses > 0
 
-        warm_disk = DiskCache(tmp_path)  # re-read from disk: new process
+        warm_disk = open_store(tmp_path)  # re-read from disk: new process
         warm = driver.check_program(source, "bsearch.dml", disk=warm_disk)
         assert warm.verdicts == cold.verdicts
         assert warm.driver.goals_replayed == warm.driver.goals > 0
@@ -69,11 +69,11 @@ class TestIncrementality:
         assert warm.driver.preloaded > 0
 
     def test_editing_one_decl_invalidates_only_the_suffix(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = open_store(tmp_path)
         driver.check_program(EDIT_BASE, "edit.dml", disk=disk)
 
         edited = EDIT_BASE.replace("sub(a, 1)", "sub(a, 0)")
-        warm = driver.check_program(edited, "edit.dml", disk=DiskCache(tmp_path))
+        warm = driver.check_program(edited, "edit.dml", disk=open_store(tmp_path))
         # f is untouched (replayed); g was edited (re-solved).
         assert warm.driver.decl_hits == 1
         assert warm.driver.decl_misses == 1
@@ -81,7 +81,7 @@ class TestIncrementality:
         assert all(proved for _, proved, _ in warm.verdicts)
 
     def test_renamed_variables_still_hit_the_solver_layer(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = open_store(tmp_path)
         telemetry_cold = driver.check_program(
             EDIT_BASE, "edit.dml", disk=disk
         ).report.telemetry
@@ -91,7 +91,7 @@ class TestIncrementality:
         # the decl layer misses, the canonical-key layer answers all.
         renamed = EDIT_BASE.replace("(a)", "(b)").replace("(a,", "(b,") \
                            .replace("sub(a,", "sub(b,")
-        warm = driver.check_program(renamed, "edit.dml", disk=DiskCache(tmp_path))
+        warm = driver.check_program(renamed, "edit.dml", disk=open_store(tmp_path))
         assert warm.driver.decl_hits == 0
         assert warm.driver.goals_replayed == 0
         telemetry = warm.report.telemetry
@@ -102,26 +102,28 @@ class TestIncrementality:
 
 class TestFallback:
     def test_corrupted_cache_file_falls_back_to_cold(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = open_store(tmp_path)
         driver.check_program(EDIT_BASE, "edit.dml", disk=disk)
-        (tmp_path / CACHE_FILENAME).write_text('{"version": 1, "solver": 7}')
+        disk.close()
+        (tmp_path / DB_FILENAME).write_bytes(b"\x00garbage, not a database")
 
-        broken = DiskCache(tmp_path)
+        broken = open_store(tmp_path)
         assert broken.corrupt
         warm = driver.check_program(EDIT_BASE, "edit.dml", disk=broken)
         assert warm.driver.goals_replayed == 0
         assert warm.driver.preloaded == 0
         assert all(proved for _, proved, _ in warm.verdicts)
         # The cold solve rewrote a valid cache.
-        assert DiskCache(tmp_path).loaded_solver > 0
+        assert open_store(tmp_path).loaded_solver > 0
 
     def test_corpus_flags_a_corrupt_cache(self, tmp_path):
-        (tmp_path / CACHE_FILENAME).write_text("garbage")
+        (tmp_path / DB_FILENAME).write_bytes(b"garbage")
         report = driver.check_corpus(
             ["bsearch"], jobs=1, cache_dir=str(tmp_path)
         )
         assert report.corrupt_cache
         assert report.all_ok
+        assert report.store == "sqlite"
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
@@ -147,10 +149,10 @@ class TestGuardGoals:
         ]
 
     def test_failed_guard_goal_survives_a_cached_rerun(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = open_store(tmp_path)
         cold = driver.check_program(GUARDED, "guarded.dml", disk=disk)
         warm = driver.check_program(
-            GUARDED, "guarded.dml", disk=DiskCache(tmp_path)
+            GUARDED, "guarded.dml", disk=open_store(tmp_path)
         )
         assert warm.verdicts == cold.verdicts
         assert warm.driver.goals_replayed == warm.driver.goals

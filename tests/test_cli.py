@@ -107,8 +107,7 @@ class TestCommands:
 
     def test_compile_with_store(self, good_file, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
-        argv = ["compile", good_file, "--store", "sqlite",
-                "--cache-dir", str(cache_dir)]
+        argv = ["compile", good_file, "--cache-dir", str(cache_dir)]
         assert main(argv) == 0
         assert (cache_dir / "verdicts.sqlite").exists()
         capsys.readouterr()
