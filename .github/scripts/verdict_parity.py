@@ -7,10 +7,10 @@ between a cold run (empty cache) and a warm replay, at any worker
 count.  This script is the cheap end-to-end check of that promise.
 
 ``--slice-parity`` checks the goal-preprocessing layer's promise
-instead: corpus verdicts with relevancy slicing / subsumption /
-shared-prefix Fourier enabled (the default) are byte-identical to a
-run with the layer off (``slice_goals=False``, the ``--no-slice``
-CLI flag), sequentially and in parallel.
+instead: corpus verdicts with relevancy slicing and subsumption
+enabled (the default) are byte-identical to a run with the layer off
+(``slice_goals=False``, the ``--no-slice`` CLI flag), sequentially and
+in parallel, at the default step budget.
 
 ``--fuzz-corpus`` scales the same promise up: a generated corpus
 (``repro fuzz --corpus-scale``, ~10x the bundled one, with failing
@@ -58,9 +58,8 @@ def slice_parity() -> int:
     print(
         f"slice parity ok: {sliced.goals} goals, atoms "
         f"{sliced.atoms_before} -> {sliced.atoms_after}, "
-        f"{sliced.subsumption_hits} subsumption hit(s), "
-        f"{sliced.prefix_reuses} prefix reuse(s), verdicts identical "
-        f"with --no-slice"
+        f"{sliced.subsumption_hits} subsumption hit(s), verdicts "
+        f"identical with --no-slice"
     )
     return 0
 

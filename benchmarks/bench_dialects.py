@@ -29,7 +29,7 @@ import time
 from repro import api
 from repro.bench import workloads as wl
 from repro.compile import support
-from repro.compile.dialects import available_dialects, get_dialect
+from repro.compile.dialects import dialect_names, get_dialect
 from repro.compile.elim import plan_elimination
 from repro.compile.pycodegen import compile_program
 
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
                              "(default: the access-dense set)")
     parser.add_argument("--dialects", default=None,
                         help="comma-separated dialect names "
-                             "(default: every available dialect)")
+                             "(default: every dialect)")
     parser.add_argument("--out", default="BENCH_dialects.json",
                         help="JSON output path (default: "
                              "BENCH_dialects.json)")
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown workloads: {', '.join(unknown)} "
                      f"(known: {', '.join(sorted(wl.WORKLOADS))})")
     dialects = ([d.strip() for d in args.dialects.split(",") if d.strip()]
-                if args.dialects else available_dialects())
+                if args.dialects else dialect_names())
 
     rows = []
     for display in names:

@@ -1,8 +1,8 @@
 """The goal-preprocessing layer on the full corpus.
 
-Relevancy slicing, refuted-core subsumption, and shared-prefix
-incremental Fourier (``repro/solver/slice.py``) exist to make goals
-*smaller* and *more alike* before the solver sees them.  This module
+Relevancy slicing and refuted-core subsumption
+(``repro/solver/slice.py``) exist to make goals *smaller* and *more
+alike* before the solver sees them.  This module
 pins down three claims with numbers:
 
 * **parity** — corpus verdicts are identical with the layer on and off
@@ -11,8 +11,8 @@ pins down three claims with numbers:
   hypothesis atoms disconnected from the conclusion are sliced away:
   the median sliced case carries well under half the original atoms;
 * **payoff** — on a cold sequential corpus run the layer produces
-  subsumption refutations and shared-prefix resumes, and the wall
-  clock does not regress against the unsliced run.
+  subsumption refutations, and the wall clock does not regress
+  against the unsliced run.
 
 Numbers for EXPERIMENTS.md come from ``test_slice_table_prints`` (and
 the slicing section of ``python -m repro.bench``).
@@ -80,7 +80,7 @@ def test_atoms_per_goal_distribution_shrinks():
     )
 
 
-def test_cold_corpus_exercises_subsumption_and_prefixes():
+def test_cold_corpus_exercises_subsumption():
     from repro import driver
     from repro.solver import portfolio
 
@@ -91,7 +91,6 @@ def test_cold_corpus_exercises_subsumption_and_prefixes():
     assert report.sliced_queries > 0
     assert report.atoms_after < report.atoms_before
     assert report.subsumption_hits > 0
-    assert report.prefix_reuses > 0
 
 
 def test_slice_table_prints():

@@ -284,15 +284,15 @@ def check(
     with a reason and its run-time check is kept; ``check`` itself
     never raises for solver trouble.
 
-    ``slice_goals`` controls the verdict-preserving goal-preprocessing
-    layer (:mod:`repro.solver.slice`: relevancy slicing, subsumption,
-    shared-prefix Fourier).  ``False`` is the ``--no-slice`` escape
-    hatch; verdicts are identical either way.  ``slicing`` overrides
+    ``slice_goals`` controls the goal-preprocessing layer
+    (:mod:`repro.solver.slice`: slice, then subsume, then the backend).
+    ``False`` is the ``--no-slice`` escape hatch; at the default step
+    budget verdicts are identical either way.  ``slicing`` overrides
     the per-check context with a caller-owned one — the checking
     daemon (:mod:`repro.server`) shares a single :class:`SliceContext`
-    across requests so refuted cores and presolved prefixes stay warm;
-    the layer's invariant (never changes a verdict) makes the sharing
-    observationally equivalent to a fresh context.
+    across requests so refuted cores stay warm; a recorded core is
+    unsatisfiable under any reading, so sharing never makes a
+    refutation unsound.
     """
     backend, telemetry = _resolve_backend(backend, cache, telemetry)
     if slicing is None:

@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     print()
 
     print("=" * 72)
-    print("Slicing: relevancy-sliced goals, subsumption, shared prefixes")
+    print("Slicing: relevancy-sliced goals and subsumption")
     print("=" * 72)
     print(tables.render_slice(harness.slice_table()))
     return 0

@@ -22,7 +22,7 @@
   per-node analysis (free variables, linearization, canonical keys),
 * :func:`slice_table` — goal preprocessing: cold corpus wall clock
   with slicing off vs. on (verdict parity asserted), atoms kept per
-  sliced goal case, subsumption refutations, shared-prefix resumes.
+  sliced goal case, subsumption refutations.
 """
 
 from __future__ import annotations
@@ -593,7 +593,7 @@ def intern_table(backend: str = "fourier") -> list[InternRow]:
 
 
 # ---------------------------------------------------------------------------
-# Slice table: relevancy slicing, subsumption, shared-prefix Fourier
+# Slice table: relevancy slicing and subsumption
 # ---------------------------------------------------------------------------
 
 
@@ -602,10 +602,10 @@ def slice_table(backend: str = "fourier") -> list[InternRow]:
 
     Runs the sequential driver twice from scratch — slicing off, then
     slicing on — asserts verdict parity, and reports the wall clocks
-    next to the slicing telemetry: atoms kept per goal case, goals
-    refuted by subsumption without a solver call, and shared-prefix
-    Fourier resumes.  State (prelude templates, portfolio caches) is
-    reset before each run so both are genuinely cold.
+    next to the slicing telemetry: atoms kept per goal case and goals
+    refuted by subsumption without a solver call.  State (prelude
+    templates, portfolio caches) is reset before each run so both are
+    genuinely cold.
     """
     from repro import driver
     from repro.solver import portfolio
@@ -645,7 +645,5 @@ def slice_table(backend: str = "fourier") -> list[InternRow]:
         ),
         InternRow("subsumption refutations", str(sliced.subsumption_hits),
                   "no solver call needed"),
-        InternRow("shared-prefix resumes", str(sliced.prefix_reuses),
-                  "Fourier restarted mid-elimination"),
     ]
     return rows

@@ -556,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     def slice_flag(p):
         p.add_argument("--no-slice", action="store_true",
                        help="disable the goal-preprocessing layer "
-                            "(relevancy slicing, subsumption, shared-"
-                            "prefix solving); verdicts are identical "
-                            "either way")
+                            "(relevancy slicing and subsumption); "
+                            "verdicts are identical either way at the "
+                            "default step budget")
 
     def budget_flags(p):
         p.add_argument("--budget", type=_budget_steps, default=None,
@@ -577,9 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=dialect_names(),
                        help="generated-code value representation: plain "
                             "(Python lists), packed (array('q') int64 "
-                            "buffers), numpy (optional).  A site the "
-                            "solver could not prove checks in every "
-                            "dialect.")
+                            "buffers).  A site the solver could not "
+                            "prove checks in every dialect.")
 
     def store_flags(p):
         p.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -712,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 200)")
     p_fuzz.add_argument("--dialects", default=None, metavar="A,B",
                         help="comma-separated dialect names to compare "
-                             "(default: every available dialect)")
+                             "(default: every dialect)")
     p_fuzz.add_argument("--depth", type=int, default=8, metavar="D",
                         help="ops per generated main body (default: 8)")
     p_fuzz.add_argument("--decls", type=int, default=3, metavar="K",

@@ -1,9 +1,8 @@
 """Dialect registry: named, pluggable value-representation backends.
 
 The registry maps ``--dialect`` names to singleton :class:`Dialect`
-instances.  All dialects register at import (including unavailable
-ones, so error messages can name them); :func:`get_dialect` raises
-:class:`DialectError` for unknown or unavailable names.
+instances; :func:`get_dialect` raises :class:`DialectError` for an
+unknown name.
 """
 
 from __future__ import annotations
@@ -11,74 +10,36 @@ from __future__ import annotations
 from typing import Any
 
 from repro.compile.dialects.base import Dialect, DialectError, parens
-from repro.compile.dialects.numpy_backend import NumpyDialect
 from repro.compile.dialects.packed import PackedDialect
 from repro.compile.dialects.plain import PlainDialect
 
 __all__ = [
-    "Dialect", "DialectError", "DialectRegistry", "REGISTRY",
-    "available_dialects", "dialect_names", "dialect_summary",
+    "Dialect", "DialectError", "dialect_names", "dialect_summary",
     "get_dialect", "parens",
 ]
 
 DEFAULT_DIALECT = "plain"
 
-
-class DialectRegistry:
-    """Name -> dialect singleton map (SNIPPETS §3 registry shape)."""
-
-    def __init__(self) -> None:
-        self._dialects: dict[str, Dialect] = {}
-
-    def register(self, dialect: Dialect) -> Dialect:
-        self._dialects[dialect.name] = dialect
-        return dialect
-
-    def get(self, name: "str | Dialect") -> Dialect:
-        if isinstance(name, Dialect):
-            return name
-        if name not in self._dialects:
-            known = ", ".join(sorted(self._dialects))
-            raise DialectError(
-                f"unknown dialect {name!r} (registered: {known})"
-            )
-        dialect = self._dialects[name]
-        if not dialect.available():
-            raise DialectError(
-                f"dialect {name!r} is unavailable: "
-                f"{dialect.unavailable_reason()}"
-            )
-        return dialect
-
-    def raw(self, name: str) -> Dialect:
-        """The registered instance, availability unprobed."""
-        return self._dialects[name]
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._dialects))
-
-    def available(self) -> tuple[str, ...]:
-        return tuple(
-            n for n in self.names() if self._dialects[n].available()
-        )
-
-
-REGISTRY = DialectRegistry()
-REGISTRY.register(PlainDialect())
-REGISTRY.register(PackedDialect())
-REGISTRY.register(NumpyDialect())
+_REGISTRY: dict[str, Dialect] = {
+    "plain": PlainDialect(),
+    "packed": PackedDialect(),
+}
 
 
 def get_dialect(name: "str | Dialect") -> Dialect:
-    return REGISTRY.get(name)
+    if isinstance(name, Dialect):
+        return name
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        known = ", ".join(sorted(_REGISTRY))
+        raise DialectError(
+            f"unknown dialect {name!r} (registered: {known})"
+        ) from None
 
 
 def dialect_names() -> tuple[str, ...]:
-    return REGISTRY.names()
-
-
-def available_dialects() -> tuple[str, ...]:
-    return REGISTRY.available()
+    return tuple(sorted(_REGISTRY))
 
 
 def dialect_summary(sites: dict, eliminable: Any) -> dict:
@@ -86,14 +47,12 @@ def dialect_summary(sites: dict, eliminable: Any) -> dict:
     ``dialects`` block).  ``eliminable`` is the plan-level set; each
     dialect may only shrink it via its per-site gate."""
     eliminable = set(eliminable)
-    out: dict[str, dict] = {}
-    for name in REGISTRY.names():
-        dialect = REGISTRY.raw(name)
-        out[name] = {
-            "available": dialect.available(),
+    return {
+        name: {
             "eliminable": sum(
                 1 for s in eliminable if dialect.may_eliminate(sites[s])
             ),
             "sites": len(sites),
         }
-    return out
+        for name, dialect in sorted(_REGISTRY.items())
+    }

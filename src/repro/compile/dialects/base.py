@@ -30,7 +30,7 @@ from typing import Any
 
 
 class DialectError(ValueError):
-    """Unknown or unavailable dialect requested by name."""
+    """Unknown dialect requested by name."""
 
 
 def parens(code: str) -> str:
@@ -57,15 +57,6 @@ class Dialect(ABC):
     name: str = "abstract"
     #: One-line description for ``--help`` and docs.
     description: str = ""
-
-    # -- availability -----------------------------------------------------
-
-    def available(self) -> bool:
-        """Can this dialect run in the current process?"""
-        return True
-
-    def unavailable_reason(self) -> str | None:
-        return None
 
     # -- per-site gate ----------------------------------------------------
 
@@ -123,15 +114,15 @@ class Dialect(ABC):
 
 
 # ---------------------------------------------------------------------------
-# Structure-walking helpers shared by the non-plain dialects
+# Structure-walking helpers for dialects with their own array payloads
 # ---------------------------------------------------------------------------
 
 
 def map_structure(value: Any, convert_seq: Any,
-                  seq_types: tuple = (list,), leaf: Any = None) -> Any:
+                  seq_types: tuple = (list,)) -> Any:
     """Rebuild ``value`` with ``convert_seq`` applied to every array
-    payload (any instance of ``seq_types``) and ``leaf`` to every
-    scalar; tuples are rebuilt element-wise.
+    payload (any instance of ``seq_types``); tuples are rebuilt
+    element-wise and every other value is kept.
 
     DML list values are ``(head, tail)`` cons pairs ending in ``None``;
     their spines are walked *iteratively* so a million-element list
@@ -145,7 +136,7 @@ def map_structure(value: Any, convert_seq: Any,
             return convert_seq(v, walk)
         if isinstance(v, tuple):
             return _walk_tuple(v, walk)
-        return leaf(v) if leaf is not None else v
+        return v
 
     return walk(value)
 

@@ -10,7 +10,7 @@ The generator is a *core/dialect* split: this module owns lowering
 instrumentation) and is representation-agnostic; everything about how
 array values are stored and accessed is delegated to a pluggable
 :class:`~repro.compile.dialects.Dialect` (``plain`` lists, ``packed``
-``array('q')`` buffers, optional ``numpy``).  Which sites a dialect may
+``array('q')`` buffers).  Which sites a dialect may
 access unchecked is decided upstream by the elimination plan; a kept
 site checks in every dialect.
 

@@ -167,10 +167,10 @@ def check_program(
     continues).  Each *goal* gets its own budget/deadline, so one
     pathological goal cannot starve its worker's siblings.
 
-    ``slice_goals`` enables the verdict-preserving goal-preprocessing
-    layer (:mod:`repro.solver.slice`); one :class:`SliceContext` is
-    shared by all workers, so refuted cores and presolved hypothesis
-    prefixes propagate across goals and declarations within the run.
+    ``slice_goals`` enables the goal-preprocessing layer
+    (:mod:`repro.solver.slice`); one :class:`SliceContext` is shared by
+    all workers, so refuted cores propagate across goals and
+    declarations within the run.
     """
     jobs = _effective_jobs(jobs)
     telemetry = telemetry if telemetry is not None else SolverTelemetry()
@@ -383,7 +383,6 @@ class ProgramResult:
     atoms_before: int = 0
     atoms_after: int = 0
     subsumption_hits: int = 0
-    prefix_reuses: int = 0
     verdicts: list[GoalRecord] = field(repr=False, default_factory=list)
 
     @property
@@ -432,7 +431,6 @@ def _program_result(name: str, outcome: DriverReport) -> ProgramResult:
         atoms_before=telemetry.atoms_before,
         atoms_after=telemetry.atoms_after,
         subsumption_hits=telemetry.subsumption_hits,
-        prefix_reuses=telemetry.prefix_reuses,
         verdicts=outcome.verdicts,
     )
 
@@ -451,6 +449,8 @@ class CorpusReport:
     corrupt_cache: bool = False
     #: Persistent store in use ("sqlite" / "none").
     store: str = "none"
+    #: Always 0; not a field.  perfbench reads it as slice.prefix_reuses.
+    prefix_reuses = 0
 
     @property
     def all_ok(self) -> bool:
@@ -519,10 +519,6 @@ class CorpusReport:
     def subsumption_hits(self) -> int:
         return sum(row.subsumption_hits for row in self.rows)
 
-    @property
-    def prefix_reuses(self) -> int:
-        return sum(row.prefix_reuses for row in self.rows)
-
     def render(self) -> str:
         from repro.bench.tables import render_table
 
@@ -552,8 +548,7 @@ class CorpusReport:
             lines.append(
                 f"slicing:          {self.sliced_queries} case(s), atoms "
                 f"{self.atoms_before} -> {self.atoms_after}, "
-                f"{self.subsumption_hits} subsumption hit(s), "
-                f"{self.prefix_reuses} prefix reuse(s)"
+                f"{self.subsumption_hits} subsumption hit(s)"
             )
         if self.budget_exhausted or self.contained_crashes:
             lines.append(

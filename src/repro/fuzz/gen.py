@@ -27,10 +27,10 @@ failing an eliminable-by-construction one is an incompleteness
 regression (the oracle distinguishes the two).
 
 Out-of-int64-range literals are generated with configurable bias so the
-packed/numpy dialects' repack-on-overflow and read-unboxing paths stay
-under differential test; division and modulus only ever take nonzero
-literal divisors (the interpreter and the compiled build raise
-different exception types on division by zero, a deliberate non-goal).
+packed dialect's repack-on-overflow path stays under differential test;
+division and modulus only ever take nonzero literal divisors (the
+interpreter and the compiled build raise different exception types on
+division by zero, a deliberate non-goal).
 
 Determinism: the same :class:`random.Random` stream and config produce
 the identical spec, and :func:`render` is a pure function of the spec —
@@ -305,7 +305,7 @@ _ARRAY_TEMPLATES = [k for k, t in TEMPLATES.items() if t.kind == "array"]
 _LIST_TEMPLATES = [k for k, t in TEMPLATES.items() if t.kind == "list"]
 
 #: int64-boundary literals: the fitting edge cases and the overflowing
-#: ones that force the packed/numpy repack paths.
+#: ones that force the packed repack path.
 BIG_LITERALS = (
     2 ** 63 - 1,
     -(2 ** 63),

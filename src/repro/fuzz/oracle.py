@@ -10,8 +10,8 @@ An *engine* is one way to execute a DML program end to end:
 * ``<dialect>-unchecked`` — the compiled build with the
   certificate-gated elimination plan applied,
 
-for every requested dialect (default: every *available* dialect).  An
-engine's :class:`Outcome` is either the extracted native value
+for every requested dialect (default: every dialect).  An engine's
+:class:`Outcome` is either the extracted native value
 (``Dialect.extract_value`` / cons-chain flattening for the
 interpreter, so representation differences can never masquerade as
 behaviour) or the raised exception's class name —
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro import api
-from repro.compile.dialects import available_dialects, get_dialect
+from repro.compile.dialects import dialect_names, get_dialect
 from repro.compile.dialects.base import Dialect
 from repro.eval.interp import Interpreter
 from repro.eval.values import ConV, to_pylist
@@ -144,12 +144,12 @@ def resolve_dialects(
 ) -> list[tuple[str, Dialect]]:
     """Normalize a dialect request to ``(label, instance)`` pairs.
 
-    ``None`` selects every available registered dialect.  Instances
+    ``None`` selects every registered dialect.  Instances
     pass through unchanged (that is how :mod:`repro.fuzz.faults`
     injects broken variants under their own labels).
     """
     if dialects is None:
-        return [(name, get_dialect(name)) for name in available_dialects()]
+        return [(name, get_dialect(name)) for name in dialect_names()]
     resolved: list[tuple[str, Dialect]] = []
     for d in dialects:
         if isinstance(d, tuple):  # already-resolved (label, instance)

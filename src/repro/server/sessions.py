@@ -21,10 +21,9 @@ What stays warm across requests (and why each piece is safe to share):
   a daemon can safely share its cache directory with concurrent
   ``repro check-corpus`` runs.
 * **the slice context** — one locked
-  :class:`~repro.solver.slice.SliceContext`: refuted cores and
-  presolved hypothesis prefixes are monotone, verdict-preserving
-  facts, so accumulating them across requests only converts backend
-  calls into hits.
+  :class:`~repro.solver.slice.SliceContext`: refuted cores are
+  monotone, sound facts, so accumulating them across requests only
+  converts backend calls into hits.
 
 Per request, nothing is shared: a fresh prelude fork, a fresh
 :class:`~repro.indices.terms.EvarStore`, a fresh per-request
@@ -396,7 +395,8 @@ class CheckService:
                 "atoms_before": telemetry.atoms_before,
                 "atoms_after": telemetry.atoms_after,
                 "subsumption_hits": telemetry.subsumption_hits,
-                "prefix_reuses": telemetry.prefix_reuses,
+                # Always 0; perfbench reads it as slice.prefix_reuses.
+                "prefix_reuses": 0,
             },
             "cache": {
                 "entries": len(self.cache),

@@ -69,7 +69,6 @@ _SLICE_FIELDS = (
     "atoms_before",
     "atoms_after",
     "subsumption_hits",
-    "prefix_reuses",
 )
 
 

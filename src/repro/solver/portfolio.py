@@ -259,8 +259,8 @@ class SolverTelemetry:
     #: Components refuted by subsumption against a recorded core,
     #: without any backend call.
     subsumption_hits: int = 0
-    #: Fourier solves resumed from a presolved shared hypothesis prefix.
-    prefix_reuses: int = 0
+    #: Always 0; not a field.  perfbench reads it as slice.prefix_reuses.
+    prefix_reuses = 0
 
     def record_decision(self, tier: str, elapsed: float, decided: bool) -> None:
         self.tier_seconds[tier] = self.tier_seconds.get(tier, 0.0) + elapsed
@@ -282,7 +282,6 @@ class SolverTelemetry:
         self.atoms_before += other.atoms_before
         self.atoms_after += other.atoms_after
         self.subsumption_hits += other.subsumption_hits
-        self.prefix_reuses += other.prefix_reuses
         for tier, count in other.decisions.items():
             self.decisions[tier] = self.decisions.get(tier, 0) + count
         for tier, seconds in other.tier_seconds.items():
@@ -307,8 +306,7 @@ class SolverTelemetry:
             out.append(
                 f"slicing:          {self.sliced_queries} case(s), atoms "
                 f"{self.atoms_before} -> {self.atoms_after}, "
-                f"{self.subsumption_hits} subsumption hit(s), "
-                f"{self.prefix_reuses} prefix reuse(s)"
+                f"{self.subsumption_hits} subsumption hit(s)"
             )
         if self.budget_exhausted or self.contained_crashes:
             out.append(
@@ -499,6 +497,5 @@ def reset_global_state() -> None:
     GLOBAL_TELEMETRY.budget_exhausted = GLOBAL_TELEMETRY.contained_crashes = 0
     GLOBAL_TELEMETRY.sliced_queries = GLOBAL_TELEMETRY.atoms_before = 0
     GLOBAL_TELEMETRY.atoms_after = GLOBAL_TELEMETRY.subsumption_hits = 0
-    GLOBAL_TELEMETRY.prefix_reuses = 0
     GLOBAL_TELEMETRY.decisions.clear()
     GLOBAL_TELEMETRY.tier_seconds.clear()

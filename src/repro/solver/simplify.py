@@ -600,10 +600,10 @@ def prove_goal(
     :func:`repro.api.check` builds one per run — pass neither.
 
     ``slicing`` (see :mod:`repro.solver.slice`) routes every case
-    through the verdict-preserving preprocessing layer — relevancy
-    slicing, subsumption, shared-prefix Fourier — *above* the backend,
-    so the memoization cache sees the sliced (smaller, more shareable)
-    canonical keys.  ``None`` is the ``--no-slice`` escape hatch.
+    through the preprocessing layer — slice, then subsume, then the
+    backend — which sits *above* the backend's memoization, so the
+    cache sees the sliced (smaller, more shareable) canonical keys.
+    ``None`` is the ``--no-slice`` escape hatch.
 
     ``limits`` is the goal's resource envelope (defaults to
     :data:`~repro.solver.budget.DEFAULT_LIMITS`): a fresh
@@ -799,8 +799,8 @@ def prove_all(
 ) -> list[GoalResult]:
     """The full Section 3 pipeline for one constraint tree.
 
-    ``slicing`` is shared across all goals, so refuted cores and
-    presolved hypothesis prefixes from one goal accelerate the next.
+    ``slicing`` is shared across all goals, so refuted cores from one
+    goal accelerate the next.
     """
     if cache is not None or telemetry is not None:
         from repro.solver.portfolio import instrument

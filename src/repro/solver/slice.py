@@ -1,11 +1,11 @@
-"""Goal preprocessing: relevancy slicing, subsumption, prefix reuse.
+"""Goal preprocessing: relevancy slicing and subsumption.
 
 :func:`repro.solver.simplify.prove_goal` historically shipped every
 goal case to the backend as one monolithic conjunction — the full
 hypothesis context plus the negated conclusion — even though most
 hypotheses constrain variables the conclusion never mentions.  This
-module sits between the case splitter and the (instrumented) backend
-and applies three verdict-preserving transformations:
+module sits between the case splitter and the (instrumented) backend,
+so each case goes slice → subsume → backend:
 
 1. **Relevancy slicing** (:func:`split_components`): the atoms of a
    case are partitioned into connected components of the variable
@@ -31,29 +31,22 @@ and applies three verdict-preserving transformations:
    goal: an unsatisfiable atom set stays unsatisfiable under any
    reading of its free variables.
 
-3. **Shared-prefix incremental Fourier**: components of goals from the
-   same declaration overwhelmingly share their hypothesis atoms and
-   differ only in the negated conclusion.  For Fourier-routed backends
-   the shared hypothesis part is presolved once
-   (:func:`repro.solver.fourier.presolve_prefix`) and installed as the
-   ambient prefix around the backend call, so per-goal elimination
-   resumes from the residual system instead of restarting from
-   scratch.
+3. **Backend**: each remaining component goes to ``backend.unsat``.
 
 Invariant (enforced by ``tests/solver/test_slice.py`` and the CI
-``slice-parity`` job): the layer never changes a verdict.  Slicing is
-exact by the component argument above; subsumption only converts
-would-be refutations the backend *could* re-derive into cache hits on
-the corpus (where every goal is proved); prefix resume computes the
-same Fourier fixpoint through a different elimination order and bails
-out to the from-scratch path whenever the residual mentions an
-eliminated variable.  Corpus verdicts are byte-identical with the
-layer on and off (``--no-slice``).
+``slice-parity`` job): at the default 2,000,000-step budget the layer
+never changes a verdict — corpus verdicts are byte-identical with the
+layer on and off (``--no-slice``).  Slicing is exact by the component
+argument above; subsumption only converts would-be refutations the
+backend *could* re-derive into cache hits.  Under a smaller
+``--budget`` the layer changes which goals run out of steps
+(with ``SolverLimits(max_steps=60)`` the corpus keeps 27 checks
+sliced and 39 with ``--no-slice``).  That never affects soundness: a
+goal that runs out keeps its run-time check.
 
 Budget accounting stays honest: the subsumption probe for each
 component charges one ambient :class:`~repro.solver.budget.Budget`
-step, and a prefix presolve spends from the budget of the goal that
-triggers it.
+step.
 """
 
 from __future__ import annotations
@@ -63,19 +56,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.indices.linear import Atom, LinVar
-from repro.solver import fourier
 from repro.solver.backends import Backend
 from repro.solver.budget import current_budget
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.solver.portfolio import SolverTelemetry
-
-
-#: Backends whose refutations route through Fourier elimination and so
-#: can resume from a presolved hypothesis prefix.  Others (interval,
-#: omega, simplex, bruteforce, fourier-rational with its distinct
-#: config) ignore the ambient prefix entirely.
-_PREFIX_BACKENDS = frozenset({"fourier", "portfolio", "differential"})
 
 
 @dataclass
@@ -159,15 +144,14 @@ class SliceContext:
     One instance is shared by every goal of a check (and by every
     worker thread of the parallel driver — all mutation happens under
     one lock, and the state is only ever *extended*, so concurrent
-    readers can at worst miss a subsumption or presolve another prefix,
-    never change a verdict).  Process workers build their own instance.
+    readers can at worst miss a subsumption, never change a verdict).
+    Process workers build their own instance.
     """
 
     #: Caps keep the shared dictionaries O(run size): recording stops
     #: silently once reached — only an optimization is lost.
     MAX_CORES = 1024
     MAX_CORE_ATOMS = 16
-    MAX_PREFIXES = 1024
 
     def __init__(self, telemetry: "SolverTelemetry | None" = None) -> None:
         self.telemetry = telemetry
@@ -178,8 +162,6 @@ class SliceContext:
         #: candidate's own atoms.
         self._cores: dict[Atom, list[frozenset[Atom]]] = {}
         self._core_count = 0
-        #: Presolved Fourier state per distinct hypothesis atom set.
-        self._prefixes: dict[frozenset[Atom], fourier.PrefixState] = {}
 
     # -- the main entry point -----------------------------------------
 
@@ -189,8 +171,7 @@ class SliceContext:
         """Refute one goal case (``True`` iff unsatisfiable).
 
         ``atoms[:n_hyp]`` originate from the hypotheses, the rest from
-        the negated conclusion — the split drives both the relevancy
-        seed and the shared-prefix selection.
+        the negated conclusion — the split drives the relevancy seed.
         """
         seed_vars: set[LinVar] = set()
         for atom in atoms[n_hyp:]:
@@ -205,7 +186,6 @@ class SliceContext:
             return True
 
         budget = current_budget()
-        hyp_set = set(atoms[:n_hyp])
         for component in sliced.components:
             if budget is not None:
                 budget.spend()  # the subsumption probe is real work
@@ -215,7 +195,7 @@ class SliceContext:
                     with self._lock:
                         self.telemetry.subsumption_hits += 1
                 return True
-            if self._refute_component(backend, component, component_set, hyp_set):
+            if backend.unsat(component):
                 self._record_core(component, component_set)
                 return True
         return False
@@ -244,48 +224,3 @@ class SliceContext:
             if component_set not in anchored:
                 anchored.append(component_set)
                 self._core_count += 1
-
-    # -- shared-prefix Fourier ----------------------------------------
-
-    def _refute_component(
-        self,
-        backend: Backend,
-        component: list[Atom],
-        component_set: frozenset[Atom],
-        hyp_set: set[Atom],
-    ) -> bool:
-        state = None
-        if backend.name in _PREFIX_BACKENDS:
-            prefix_atoms = tuple(a for a in component if a in hyp_set)
-            # A one-atom prefix saves nothing; a full-component prefix
-            # would presolve the conclusion into the shared state.
-            if 2 <= len(prefix_atoms) < len(component):
-                state = self._prefix_state(prefix_atoms, component)
-        if state is None:
-            return backend.unsat(component)
-        with fourier.use_prefix(state) as slot:
-            verdict = backend.unsat(component)
-        if slot.uses and self.telemetry is not None:
-            with self._lock:
-                self.telemetry.prefix_reuses += slot.uses
-        return verdict
-
-    def _prefix_state(
-        self, prefix_atoms: tuple[Atom, ...], component: list[Atom]
-    ) -> fourier.PrefixState:
-        key = frozenset(prefix_atoms)
-        with self._lock:
-            cached = self._prefixes.get(key)
-        if cached is not None:
-            return cached
-        protected: set[LinVar] = set()
-        for atom in component:
-            if atom not in key:
-                protected |= atom.lhs.variables()
-        # Spends this goal's ambient budget; BudgetExhausted propagates
-        # (prove_goal degrades the goal) without caching a partial state.
-        state = fourier.presolve_prefix(prefix_atoms, protected)
-        with self._lock:
-            if len(self._prefixes) < self.MAX_PREFIXES:
-                state = self._prefixes.setdefault(key, state)
-        return state

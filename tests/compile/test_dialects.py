@@ -3,8 +3,8 @@
 The invariant the whole layer hangs on: a dialect can only *keep more*
 checks than the elimination plan allows — ``may_eliminate`` filters the
 eliminable set, so no dialect can uncheck a site the solver did not
-discharge.  Everything else (packed buffers, numpy arrays) is value
-representation, verified by differential execution against plain.
+discharge.  Everything else (packed buffers) is value representation,
+verified by differential execution against plain.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.compile.certificate import issue_certificate
 from repro.compile.dialects import (
     DEFAULT_DIALECT,
     DialectError,
-    available_dialects,
     dialect_names,
     dialect_summary,
     get_dialect,
@@ -32,7 +31,7 @@ from repro.compile.dialects.plain import PlainDialect
 from repro.compile.elim import plan_elimination
 from repro.compile.pycodegen import compile_program
 
-DIALECTS = available_dialects()
+DIALECTS = dialect_names()
 
 #: Provable program: the annotation discharges the bound check.
 GOOD = (
@@ -50,13 +49,15 @@ KEPT = "fun get(a, i) = sub(a, i)\n"
 class TestRegistry:
     def test_names_are_sorted_and_complete(self):
         assert list(dialect_names()) == sorted(dialect_names())
-        assert {"plain", "packed", "numpy"} <= set(dialect_names())
+        assert set(dialect_names()) == {"plain", "packed"}
 
     def test_default_dialect_is_registered_and_available(self):
-        assert DEFAULT_DIALECT in available_dialects()
+        assert DEFAULT_DIALECT in dialect_names()
+        assert get_dialect(DEFAULT_DIALECT).name == DEFAULT_DIALECT
 
     def test_plain_and_packed_always_available(self):
-        assert {"plain", "packed"} <= set(available_dialects())
+        for name in ("plain", "packed"):
+            assert get_dialect(name).name == name
 
     def test_get_unknown_names_the_registered_ones(self):
         with pytest.raises(DialectError, match="plain"):
@@ -73,6 +74,7 @@ class TestRegistry:
             entry = summary[name]
             assert entry["sites"] == len(report.sites)
             assert 0 <= entry["eliminable"] <= len(report.eliminable_sites())
+        assert set(summary) == {"plain", "packed"}
         assert (summary["plain"]["eliminable"]
                 == len(report.eliminable_sites()))
 
@@ -230,8 +232,8 @@ class TestErrorParity:
 
 
 #: Packs at construction (small ints), then updates an out-of-int64
-#: value: pre-fix, packed/numpy raised OverflowError where plain
-#: stored the bignum.
+#: value: pre-fix, packed raised OverflowError where plain stored the
+#: bignum.
 OVERFLOW = (
     "fun main(u) = let\n"
     "  val a0 = array(3, 1)\n"
@@ -240,8 +242,8 @@ OVERFLOW = (
     "where main <| int -> int\n"
 )
 
-#: Every element fits int64, but their sum does not: pre-fix, numpy's
-#: np.int64 scalars leaked into generated arithmetic and wrapped.
+#: Every element fits int64, but their sum does not: a dialect whose
+#: reads leak fixed-width scalars into generated arithmetic would wrap.
 WRAP = (
     "fun main(u) = let\n"
     "  val a0 = array(4, 4611686018427387904)\n"
@@ -286,16 +288,6 @@ class TestInt64EdgeParity:
         with pytest.raises(BoundsError):
             _updc_pk(buf, -1, 9)
 
-    @pytest.mark.skipif("numpy" not in DIALECTS, reason="numpy unavailable")
-    def test_numpy_repack_on_overflow(self):
-        d = get_dialect("numpy")
-        buf = d.adapt_value([1, 2, 3])
-        buf[0] = -(2 ** 70)
-        assert type(buf.buf) is list
-        # The demoted elements are Python ints, not np.int64 scalars.
-        assert all(type(x) is int for x in buf.buf)
-        assert d.extract_value(buf) == [-(2 ** 70), 2, 3]
-
 
 class TestEmptyArrayRepresentation:
     def test_packed_constructors_agree_on_empty(self):
@@ -303,14 +295,6 @@ class TestEmptyArrayRepresentation:
         assert type(made) is type(tabulated)
         assert type(made.buf) is type(tabulated.buf) is list
         assert made == tabulated
-
-    @pytest.mark.skipif("numpy" not in DIALECTS, reason="numpy unavailable")
-    def test_numpy_constructors_agree_on_empty(self):
-        from repro.compile.dialects.numpy_backend import _np_mk, _np_tab
-
-        made, tabulated = _np_mk(0, 5), _np_tab(0, lambda i: i)
-        assert type(made) is type(tabulated)
-        assert type(made.buf) is type(tabulated.buf) is list
 
     @pytest.mark.parametrize("dialect", DIALECTS)
     def test_empty_extracts_identically(self, dialect):
@@ -327,7 +311,7 @@ class TestEmptyArrayRepresentation:
 @pytest.mark.parametrize("display", sorted(wl.WORKLOADS))
 def test_workloads_agree_across_dialects(display):
     """Every benchmark workload computes identical results (and
-    identical argument mutations) in every available dialect."""
+    identical argument mutations) in every dialect."""
     workload = wl.WORKLOADS[display]
     report = api.check_corpus(workload.program)
     params = workload.params("small")

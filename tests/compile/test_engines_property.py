@@ -2,7 +2,7 @@
 
 Random well-typed programs are generated as source text, then run
 through (a) the instrumented interpreter and (b) the Python code
-generator — in every available compilation dialect.  All must agree
+generator — in every compilation dialect.  All must agree
 with each other — and, for the arithmetic fragment, with a direct
 Python evaluation of the same expression tree.
 """
@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.compile.dialects import available_dialects, get_dialect
+from repro.compile.dialects import dialect_names, get_dialect
 from repro.compile.pycodegen import compile_program
 from repro.eval.interp import Interpreter
 
-DIALECTS = available_dialects()
+DIALECTS = dialect_names()
 
 
 # -- expression generator ----------------------------------------------------

@@ -1,7 +1,6 @@
 """Differential-oracle behaviour: clean programs pass, injected
 faults and wrong ground truth are flagged with the right kinds."""
 
-from repro.compile.dialects import available_dialects
 from repro.fuzz.faults import get_fault
 from repro.fuzz.gen import SiteTruth
 from repro.fuzz.oracle import resolve_dialects, run_differential
@@ -26,9 +25,8 @@ class TestEngines:
     def test_clean_program_all_engines_agree(self):
         result = run_differential(OVERFLOW)
         assert result.ok, result.render()
-        # interp + every dialect, checked and unchecked builds each.
-        expected = 2 + 2 * len(available_dialects())
-        assert len(result.outcomes) == expected
+        # interp + plain + packed, checked and unchecked builds each.
+        assert len(result.outcomes) == 6
 
     def test_oob_raises_everywhere(self):
         result = run_differential(OOB)
@@ -93,7 +91,7 @@ class TestFaults:
 class TestResolveDialects:
     def test_default_is_every_available(self):
         labels = [label for label, _ in resolve_dialects(None)]
-        assert labels == list(available_dialects())
+        assert labels == ["packed", "plain"]
 
     def test_pairs_pass_through(self):
         fault = get_fault("oob-read")

@@ -2,7 +2,7 @@
 
 Every ``tests/corpus/fuzz_regressions/*.dml`` is a shrunk repro of a
 bug this PR (or a future fuzzing run) fixed; the differential oracle
-re-runs each one across every available dialect and demands full
+re-runs each one across every dialect and demands full
 agreement.  Dropping a file here without the fix regressing is the
 only way these ever go green-to-red."""
 

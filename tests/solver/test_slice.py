@@ -1,18 +1,17 @@
 """Property tests for the goal-preprocessing layer.
 
 The contract (``repro/solver/slice.py`` module docstring, enforced
-here and by the CI ``slice-parity`` job): relevancy slicing,
-refuted-core subsumption, and shared-prefix Fourier resumption never
-change a verdict.  The fuzz half of the file reuses the 600 boxed
-random systems of ``test_differential.py`` and checks that routing a
-system through :class:`SliceContext` — which decomposes it into
+here and by the CI ``slice-parity`` job): at the default step budget,
+relevancy slicing and refuted-core subsumption never change a
+verdict.  The fuzz half of the file reuses the 600 boxed random
+systems of ``test_differential.py`` and checks that routing a system
+through :class:`SliceContext` — which decomposes it into
 variable-connected components and queries them separately — returns
 exactly the verdict of the monolithic backend call, backend by
-backend; that every verdict produced *with* cross-system subsumption
-state is still confirmed by omega; and that resuming Fourier from a
-presolved hypothesis prefix agrees with elimination from scratch.
-The unit half pins the union-find decomposition, the budget charge
-per component probe, and the cache-stats plumbing.
+backend, and that every verdict produced *with* cross-system
+subsumption state is still confirmed by omega.  The unit half pins the
+union-find decomposition, the budget charge per component probe, and
+the cache-stats plumbing.
 """
 
 import random
@@ -20,7 +19,7 @@ import random
 import pytest
 
 from repro.indices.linear import Atom, LinComb
-from repro.solver import backends, fourier, portfolio
+from repro.solver import backends, portfolio
 from repro.solver.backends import Backend, get_backend
 from repro.solver.budget import Budget, BudgetExhausted, use_budget
 from repro.solver.slice import SliceContext, split_components
@@ -78,29 +77,6 @@ def test_shared_context_verdicts_stay_sound():
     assert telemetry.subsumption_hits > 0
     assert telemetry.sliced_queries == len(SYSTEMS)
     assert telemetry.atoms_after <= telemetry.atoms_before
-
-
-def test_prefix_resume_matches_scratch_elimination():
-    """Presolving a hypothesis prefix and resuming per-conclusion must
-    agree with from-scratch fourier_unsat on every system (the resume
-    path bails to scratch when it cannot preserve the verdict)."""
-    resumed_at_least_once = False
-    for i, atoms in enumerate(SYSTEMS):
-        if len(atoms) < 3:
-            continue
-        prefix, rest = tuple(atoms[:-1]), atoms[-1:]
-        protected = set()
-        for atom in rest:
-            protected |= atom.lhs.variables()
-        state = fourier.presolve_prefix(prefix, protected)
-        with fourier.use_prefix(state) as slot:
-            via_prefix = fourier.fourier_unsat(atoms)
-            resumed_at_least_once |= slot.uses > 0
-        assert via_prefix == fourier.fourier_unsat(atoms), (
-            f"prefix resume changed the verdict on system #{i}: "
-            f"{[str(a) for a in atoms]}"
-        )
-    assert resumed_at_least_once, "the resume path never engaged"
 
 
 # ---------------------------------------------------------------------------
@@ -203,54 +179,9 @@ def test_subsumption_probe_still_charges_when_it_hits():
     assert budget.remaining == 9
 
 
-def test_prefix_only_for_fourier_routed_backends():
-    """Interval is not Fourier-routed: the context must not install a
-    prefix around it (the ambient slot would be ignored anyway, but we
-    assert no presolve work happens at all)."""
-    atoms = [
-        Atom(">=", lc(x=1, y=1)),
-        Atom(">=", lc(x=1, y=-1)),
-        Atom(">=", lc(-1, x=-1, y=1)),
-    ]
-    context = SliceContext()
-    context.query(get_backend("interval"), atoms, 2)
-    assert context._prefixes == {}
-    context.query(get_backend("fourier"), atoms, 2)
-    assert len(context._prefixes) == 1
-
-
 # ---------------------------------------------------------------------------
-# Unit: fail-soft and cache-stats plumbing
+# Unit: cache-stats plumbing
 # ---------------------------------------------------------------------------
-
-
-def test_resume_bails_on_eliminated_variable_overlap():
-    """A residual atom mentioning a prefix-eliminated variable must not
-    be substituted into the resumed system; the resume returns None and
-    fourier starts from scratch — same verdict either way."""
-    prefix = (
-        Atom(">=", lc(-2, p=1)),   # p >= 2
-        Atom(">=", lc(8, p=-1)),   # p <= 8
-    )
-    state = fourier.presolve_prefix(prefix, protected=set())
-    assert "p" in state.eliminated
-    conflicting = list(prefix) + [Atom(">=", lc(-6, p=1))]  # p >= 6: sat
-    with fourier.use_prefix(state) as slot:
-        assert not fourier.fourier_unsat(conflicting)
-        assert slot.uses == 0  # bailed to the scratch path
-    refuting = list(prefix) + [Atom(">=", lc(-9, p=1))]  # p >= 9: unsat
-    with fourier.use_prefix(state):
-        assert fourier.fourier_unsat(refuting)
-
-
-def test_presolve_propagates_budget_exhaustion():
-    atoms = tuple(
-        Atom(">=", lc(i, **{v: 1, "w": -1}))
-        for i, v in enumerate(("x", "y", "z"))
-    )
-    with use_budget(Budget(max_steps=1)):
-        with pytest.raises(BudgetExhausted):
-            fourier.presolve_prefix(atoms, protected=set())
 
 
 def test_canonical_key_stats_reports_evictions():

@@ -1,5 +1,10 @@
 """Tests for the public pipeline API."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import api
@@ -220,3 +225,34 @@ class TestPreludeMemoization:
         # The reported window is a subset of this call's wall clock
         # (it cannot be charging a fresh prelude elaboration).
         assert 0 < report.generation_seconds <= wall
+
+
+#: Checks one corpus program and builds its ``/check`` response in a
+#: fresh interpreter, then prints every top-level module that loading
+#: and running the check path pulled in beyond the standard library.
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from repro import api, programs
+from repro.server.protocol import check_response
+from repro.solver.budget import DEFAULT_LIMITS
+report = api.check(programs.load_source("bsearch"), "bsearch.dml")
+check_response(report, 0.0, DEFAULT_LIMITS)
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+# __mp_main__ is multiprocessing's alias for this script's own module.
+ours = {"repro", "__mp_main__"}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names) - ours)))
+"""
+
+
+def test_check_path_imports_only_the_standard_library():
+    """``pyproject`` declares no dependencies: checking a program and
+    answering ``/check`` must not import any third-party module, even
+    one that happens to be installed (each costs the daemon memory)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.split() == []
