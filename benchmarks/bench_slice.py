@@ -26,7 +26,6 @@ from repro import api, programs
 from repro.bench.harness import slice_table
 from repro.bench.tables import render_slice
 from repro.solver import simplify
-from repro.solver.slice import split_components
 
 
 def _goal_case_sizes() -> tuple[list[int], list[int]]:
@@ -39,13 +38,12 @@ def _goal_case_sizes() -> tuple[list[int], list[int]]:
         assert report.all_proved, f"{name} failed to type-check"
         for result in report.goal_results:
             goal = result.goal
-            for atoms, n_hyp in simplify.goal_cases(goal.hyps, goal.concl):
-                seed_vars = set()
-                for atom in atoms[n_hyp:]:
-                    seed_vars |= atom.lhs.variables()
-                sliced = split_components(atoms, seed_vars)
-                before.append(len(atoms))
-                after.append(sliced.relevant_atoms)
+            context = simplify.HypothesisContext(tuple(goal.hyps))
+            for part, concl_atoms, n_atoms in simplify.goal_slices(
+                context, goal.concl
+            ):
+                before.append(n_atoms)
+                after.append(part.extend(concl_atoms).relevant_atoms)
     return before, after
 
 

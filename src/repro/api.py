@@ -314,6 +314,7 @@ def check(
             )
         )
     warnings = _unreachable_warnings(elab, store, backend, src, limits, slicing)
+    store.end_check()
     solve_seconds = time.perf_counter() - solve_started
     telemetry.budget_exhausted += stats.budget_exhausted
     telemetry.contained_crashes += stats.contained_crashes

@@ -42,7 +42,7 @@ from repro.indices import terms
 from repro.indices.sorts import INT, Sort
 from repro.indices.terms import EvarStore, IVar, IndexTerm
 from repro.lang import ast
-from repro.lang.errors import ElabError
+from repro.lang.errors import ElabError, NestingTooDeep
 from repro.lang.source import Span
 from repro.types import types as dt
 from repro.types.types import DType, MetaStore
@@ -250,7 +250,10 @@ class Elaborator:
         )
         for decl in program.decls:
             self.col.push()
-            self.elab_decl(decl, top_level=True)
+            try:
+                self.elab_decl(decl, top_level=True)
+            except RecursionError:
+                raise NestingTooDeep(decl.span) from None
             constraint = self.col.pop()
             if not isinstance(constraint, cs.CTrue):
                 result.decl_constraints.append(DeclConstraint(decl, constraint))

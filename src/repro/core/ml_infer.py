@@ -29,7 +29,7 @@ from repro.core.env import (
     ValueKind,
 )
 from repro.lang import ast
-from repro.lang.errors import ElabError, MLTypeError
+from repro.lang.errors import ElabError, MLTypeError, NestingTooDeep
 from repro.lang.source import Span
 from repro.types import erasure
 from repro.types import mltype as ml
@@ -118,7 +118,10 @@ class MLInferencer:
     def infer_program(self, program: ast.Program) -> InferResult:
         resolved: list[ast.Decl] = []
         for decl in program.decls:
-            resolved.append(self.infer_decl(decl))
+            try:
+                resolved.append(self.infer_decl(decl))
+            except RecursionError:
+                raise NestingTooDeep(decl.span) from None
         return InferResult(ast.Program(resolved, span=program.span), self.env)
 
     def infer_decl(self, decl: ast.Decl) -> ast.Decl:

@@ -299,6 +299,7 @@ def check_program(
     warnings = api._unreachable_warnings(
         elab, store, main_backend, front.source, limits, slicing
     )
+    store.end_check()
     stats.solve_seconds = time.perf_counter() - solve_started
 
     # -- persistence ----------------------------------------------------

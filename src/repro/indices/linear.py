@@ -187,7 +187,10 @@ def linearize(term: IndexTerm) -> LinComb:
     ``UnsupportedIndex`` — is memoized on the interned node (``_lin``
     slot), so each distinct term is linearized at most once per
     process no matter how many goals, hypotheses, or solver passes
-    mention it.
+    mention it.  A failure is cached as its class and offending term
+    and raised afresh: a cached exception object would keep its
+    traceback's frames, and everything they reference, alive for as
+    long as the node lives.
     """
     try:
         cached = term._lin  # type: ignore[attr-defined]
@@ -195,13 +198,14 @@ def linearize(term: IndexTerm) -> LinComb:
         _LIN_MEMO.misses += 1
     else:
         _LIN_MEMO.hits += 1
-        if isinstance(cached, Exception):
-            raise cached
+        if isinstance(cached, tuple):
+            error, culprit = cached
+            raise error(culprit)
         return cached
     try:
         result = _linearize(term)
     except (NonLinearIndex, UnsupportedIndex) as exc:
-        object.__setattr__(term, "_lin", exc)
+        object.__setattr__(term, "_lin", (type(exc), exc.term))
         raise
     object.__setattr__(term, "_lin", result)
     return result

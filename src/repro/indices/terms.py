@@ -662,6 +662,15 @@ class EvarStore:
         self._next_uid = 0
         self._solutions: dict[EVar, IndexTerm] = {}
         self._scopes: dict[EVar, frozenset[str]] = {}
+        #: Per-check memos of :func:`repro.solver.simplify.hypothesis_context`:
+        #: ``hypotheses`` maps a resolved hypothesis tuple to the
+        #: hypothesis-side proof work of every goal with those
+        #: hypotheses, ``memberships`` maps ``(variable, sort)`` to the
+        #: sort's membership constraint on the variable.  Each entry is
+        #: a pure function of its key, so :meth:`snapshot` shares both
+        #: rather than copying them; :meth:`end_check` empties them.
+        self.hypotheses: dict = {}
+        self.memberships: dict = {}
 
     def fresh(self, hint: str, scope: set[str] | frozenset[str]) -> EVar:
         evar = EVar(self._next_uid, hint)
@@ -722,7 +731,17 @@ class EvarStore:
         copy._next_uid = self._next_uid
         copy._solutions = dict(self._solutions)
         copy._scopes = dict(self._scopes)
+        copy.hypotheses = self.hypotheses
+        copy.memberships = self.memberships
         return copy
+
+    def end_check(self) -> None:
+        """Release the per-check proof memos once the check has proved
+        its goals.  A caller may keep the check's report, and with it
+        this store, long after; the memos would stay alive with it.
+        Later proofs against the store rebuild what they need."""
+        self.hypotheses.clear()
+        self.memberships.clear()
 
     @property
     def solutions(self) -> dict[EVar, IndexTerm]:

@@ -37,6 +37,16 @@ class ParseError(DMLError):
     """Syntactically invalid program."""
 
 
+class NestingTooDeep(DMLError):
+    """A declaration nests deeper than the front end's recursive
+    descent can follow (Python's recursion limit), e.g. a sum of a few
+    hundred terms or a hundred nested parentheses.  Raised with the
+    declaration's span in place of the ``RecursionError``."""
+
+    def __init__(self, span: Span = DUMMY_SPAN) -> None:
+        super().__init__("nesting too deep", span)
+
+
 class MLTypeError(DMLError):
     """Phase-1 failure: the program is not well-typed in plain ML."""
 

@@ -20,7 +20,7 @@ from repro.indices import terms
 from repro.indices.sorts import Sort, SubsetSort
 from repro.indices.terms import IConst, IVar, IndexTerm
 from repro.lang import ast
-from repro.lang.errors import ParseError
+from repro.lang.errors import NestingTooDeep, ParseError
 from repro.lang.lexer import Token, tokenize
 from repro.lang.source import SourceFile, Span
 
@@ -94,7 +94,11 @@ class Parser:
         start = self.peek().span
         decls: list[ast.Decl] = []
         while not self.at("EOF"):
-            decls.append(self.parse_decl())
+            first = self.peek().span
+            try:
+                decls.append(self.parse_decl())
+            except RecursionError:
+                raise NestingTooDeep(first.merge(self.peek().span)) from None
         span = start if not decls else start.merge(decls[-1].span)
         return ast.Program(decls, span=span)
 

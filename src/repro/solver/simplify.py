@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.solver.portfolio import SolverCache, SolverTelemetry
-    from repro.solver.slice import SliceContext
 
 from repro.indices import terms
 from repro.indices.constraints import (
@@ -75,6 +74,7 @@ from repro.solver.budget import (
     current_budget,
     use_budget,
 )
+from repro.solver.slice import Partition, SliceContext, partition
 
 
 @dataclass
@@ -279,10 +279,12 @@ def solve_evars(goals: list[Goal], store: EvarStore) -> int:
 class _Definitions:
     """Fresh-variable definitions introduced while flattening a goal."""
 
-    def __init__(self) -> None:
-        self.counter = 0
+    def __init__(
+        self, counter: int = 0, cache: dict[IndexTerm, IVar] | None = None
+    ) -> None:
+        self.counter = counter
         self.props: list[IndexTerm] = []
-        self.cache: dict[IndexTerm, IVar] = {}
+        self.cache: dict[IndexTerm, IVar] = {} if cache is None else cache
 
     def fresh(self, hint: str) -> IVar:
         self.counter += 1
@@ -444,20 +446,22 @@ def _split_cases(formula: IndexTerm) -> tuple[tuple[IndexTerm, ...], ...]:
     Memoized on the interned node (``_dnf`` slot) — the same goal
     formula recurs whenever a prelude obligation is re-proved for
     another program, and subformulas recur within one program's case
-    splits.  A ``UnsupportedGoal`` (case explosion) is cached and
-    re-raised the same way."""
+    splits.  A ``UnsupportedGoal`` (case explosion) is cached as its
+    message and re-raised afresh: a cached exception object would keep
+    its traceback's frames, and everything they reference, alive for
+    as long as the node lives."""
     try:
         cached = formula._dnf  # type: ignore[attr-defined]
     except AttributeError:
         pass
     else:
-        if isinstance(cached, Exception):
-            raise cached
+        if isinstance(cached, str):
+            raise UnsupportedGoal(cached)
         return cached
     try:
         result = _split_cases_uncached(formula)
     except UnsupportedGoal as exc:
-        object.__setattr__(formula, "_dnf", exc)
+        object.__setattr__(formula, "_dnf", str(exc))
         raise
     object.__setattr__(formula, "_dnf", result)
     return result
@@ -503,6 +507,73 @@ def _negate(formula: IndexTerm) -> IndexTerm:
     return Not(formula)
 
 
+_NO_BOOLS: frozenset[IndexTerm] = frozenset()
+
+
+def _convert_literals(
+    literals: "tuple[IndexTerm, ...] | list[IndexTerm]",
+    pos: frozenset[IndexTerm] = _NO_BOOLS,
+    neg: frozenset[IndexTerm] = _NO_BOOLS,
+) -> tuple[frozenset[IndexTerm], frozenset[IndexTerm], list[list[list[Atom]]]] | None:
+    """Convert one DNF case's literals, in order, to the boolean
+    literals they assert and one list of atom-conjunction choices per
+    comparison (``<>`` offers two).
+
+    ``pos``/``neg`` are boolean variables already asserted true/false
+    by the other half of the case: a hypothesis ``b`` and a conclusion
+    case ``~b`` must still refute the case propositionally.  Returns
+    ``None`` when the case is propositionally unsatisfiable
+    (conflicting boolean literals or a ``false`` constant).
+    """
+    choices: list[list[list[Atom]]] = []
+    for literal in literals:
+        if isinstance(literal, BConst):
+            if not literal.value:
+                return None
+        elif isinstance(literal, (IVar, EVar)):
+            if literal in neg:
+                return None
+            pos = pos | {literal}
+        elif isinstance(literal, Not):
+            if literal.arg in pos:
+                return None
+            neg = neg | {literal.arg}
+        elif isinstance(literal, Cmp):
+            try:
+                choices.append(atoms_of_cmp(literal))
+            except (NonLinearIndex, UnsupportedIndex) as exc:
+                raise UnsupportedGoal(str(exc)) from exc
+        else:
+            raise UnsupportedGoal(f"unsupported literal in goal: {literal}")
+    return pos, neg, choices
+
+
+def _product_charge(
+    size: int, choices: list[list[list[Atom]]]
+) -> tuple[int, int | None]:
+    """Budget steps for extending ``size`` partial atom conjunctions by
+    the Cartesian product over ``choices``, one stage per choice list
+    and one step per element built, plus the final size.  The size is
+    ``None`` when a stage exceeds :data:`_MAX_CASES`; the charge then
+    stops at the element that broke the cap."""
+    charge = 0
+    for alternatives in choices:
+        size *= len(alternatives)
+        if size > _MAX_CASES:
+            return charge + _MAX_CASES + 1, None
+        charge += size
+    return charge, size
+
+
+def _product(choices: list[list[list[Atom]]]) -> list[list[Atom]]:
+    """The Cartesian product over ``choices``, earlier choices varying
+    slowest."""
+    result: list[list[Atom]] = [[]]
+    for alternatives in choices:
+        result = [base + choice for base in result for choice in alternatives]
+    return result
+
+
 def _case_to_atom_sets(
     literals: "tuple[IndexTerm, ...] | list[IndexTerm]",
 ) -> list[list[Atom]] | None:
@@ -512,74 +583,302 @@ def _case_to_atom_sets(
     (conflicting boolean literals or a ``false`` constant).  ``<>``
     comparisons fan out into further sub-cases, hence a list of sets.
     """
-    tagged = _tagged_case_atom_sets(literals, 0)
-    if tagged is None:
+    converted = _convert_literals(literals)
+    if converted is None:
         return None
-    return [atoms for atoms, _ in tagged]
-
-
-def _tagged_case_atom_sets(
-    literals: "tuple[IndexTerm, ...] | list[IndexTerm]",
-    split_index: int,
-) -> list[tuple[list[Atom], int]] | None:
-    """Like :func:`_case_to_atom_sets`, tagging each atom conjunction
-    with how many of its leading atoms came from ``literals`` before
-    ``split_index`` (the hypothesis part; the rest is the negated
-    conclusion).  Boolean-literal conflict detection spans both parts —
-    a hypothesis ``b`` and a conclusion case ``~b`` must still refute
-    the case propositionally.
-    """
-    pos_bools: set[IndexTerm] = set()
-    neg_bools: set[IndexTerm] = set()
-    atom_choices: list[tuple[bool, list[list[Atom]]]] = []
-    for position, literal in enumerate(literals):
-        if isinstance(literal, BConst):
-            if not literal.value:
-                return None
-            continue
-        if isinstance(literal, (IVar, EVar)):
-            if literal in neg_bools:
-                return None
-            pos_bools.add(literal)
-            continue
-        if isinstance(literal, Not):
-            inner = literal.arg
-            if inner in pos_bools:
-                return None
-            neg_bools.add(inner)
-            continue
-        if isinstance(literal, Cmp):
-            try:
-                atom_choices.append(
-                    (position < split_index, atoms_of_cmp(literal))
-                )
-            except NonLinearIndex as exc:
-                raise UnsupportedGoal(str(exc)) from exc
-            except UnsupportedIndex as exc:  # pragma: no cover - defensive
-                raise UnsupportedGoal(str(exc)) from exc
-            continue
-        raise UnsupportedGoal(f"unsupported literal in goal: {literal}")
-    if pos_bools & neg_bools:
-        return None
-
-    # Cartesian product over the <> fan-outs.  Hypothesis literals
-    # precede conclusion literals, so hypothesis atoms form a prefix of
-    # every product element and a single count tags the split.
+    choices = converted[2]
+    charge, size = _product_charge(1, choices)
     budget = current_budget()
-    result: list[tuple[list[Atom], int]] = [([], 0)]
-    for from_hyp, choices in atom_choices:
-        new_result = []
-        for base, n_hyp in result:
-            for choice in choices:
-                if budget is not None:
-                    budget.spend()
-                new_result.append(
-                    (base + choice, n_hyp + (len(choice) if from_hyp else 0))
-                )
-                if len(new_result) > _MAX_CASES:
-                    raise UnsupportedGoal("case explosion from disequalities")
-        result = new_result
-    return result
+    if budget is not None and charge:
+        budget.spend(charge)
+    if size is None:
+        raise UnsupportedGoal("case explosion from disequalities")
+    return _product(choices)
+
+
+class _HypothesisCase:
+    """The hypothesis half of one goal case: one DNF case of the
+    flattened hypotheses, converted once and shared by every goal whose
+    hypotheses produced it.
+
+    A conversion error is kept (as ``error``) rather than raised: the
+    unshared path raises it only once the case is paired with a
+    conclusion case, after that pair's budget step.  ``size``/``charge``
+    are the atom-choice product's size (``None`` past the case cap) and
+    step charge; :meth:`elements` materializes the product, each
+    element with its :class:`~repro.solver.slice.Partition`, on first
+    use.
+    """
+
+    __slots__ = (
+        "refuted", "error", "pos", "neg", "choices", "size", "charge",
+        "_elements",
+    )
+
+    def __init__(self, literals: tuple[IndexTerm, ...]) -> None:
+        self.refuted = False
+        self.error: str | None = None
+        self.pos = self.neg = _NO_BOOLS
+        self.choices: list[list[list[Atom]]] = []
+        try:
+            converted = _convert_literals(literals)
+        except UnsupportedGoal as exc:
+            self.error = str(exc)
+        else:
+            if converted is None:
+                self.refuted = True
+            else:
+                self.pos, self.neg, self.choices = converted
+        self.charge, self.size = _product_charge(1, self.choices)
+        self._elements: list[tuple[list[Atom], Partition]] | None = None
+
+    def elements(self) -> list[tuple[list[Atom], Partition]]:
+        """``(atoms, partition)`` per product element."""
+        if self._elements is None:
+            self._elements = [
+                (atoms, partition(atoms)) for atoms in _product(self.choices)
+            ]
+        return self._elements
+
+
+def _boolean_subterms(roots: tuple[IndexTerm, ...]) -> set[IndexTerm]:
+    """Every ``/\\``/``\\/``/``~`` node and boolean leaf reachable
+    through the boolean structure of ``roots``."""
+    seen: set[IndexTerm] = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, (And, Or)):
+            stack.append(node.left)
+            stack.append(node.right)
+        elif isinstance(node, Not):
+            stack.append(node.arg)
+    return seen
+
+
+def _split_charge(
+    node: IndexTerm, memoized: set[IndexTerm], seen: set[IndexTerm]
+) -> int:
+    """The budget steps :func:`_split_cases` spends on ``node`` when
+    exactly the nodes in ``memoized`` (and those in ``seen``, split
+    earlier in the same pass) already carry a DNF memo.  Every DNF in
+    reach must be memoized already (call after splitting ``node``), and
+    no budget may be installed."""
+    if node in memoized or node in seen:
+        return 0
+    seen.add(node)
+    if isinstance(node, And):
+        return (
+            _split_charge(node.left, memoized, seen)
+            + _split_charge(node.right, memoized, seen)
+            + len(_split_cases(node.left)) * len(_split_cases(node.right))
+        )
+    if isinstance(node, Or):
+        return _split_charge(node.left, memoized, seen) + _split_charge(
+            node.right, memoized, seen
+        )
+    if isinstance(node, Not) and not isinstance(node.arg, (IVar, EVar)):
+        return _split_charge(_negate(node.arg), memoized, seen)
+    return 0
+
+
+class HypothesisContext:
+    """The hypothesis-side work of every goal whose resolved hypotheses
+    (rigid-variable memberships appended) are ``hyps``.
+
+    Each attribute is a pure function of ``hyps``: the unsolved evars
+    left in them, the operator-definition state after flattening them
+    (fresh-variable counter and cache, which a goal's conclusion
+    continues), and the hypothesis DNF as :class:`_HypothesisCase`
+    halves.  So one context serves every goal of a check that shares
+    the hypotheses — across :meth:`EvarStore.snapshot` copies and
+    driver threads alike; two threads racing to build it only waste
+    work.  Fields are filled lazily, at the point the unshared
+    pipeline would compute them, so budget charges and failure modes
+    stay where they were.
+    """
+
+    __slots__ = ("hyps", "leftover", "_defs", "_cases", "_repeat_charge")
+
+    def __init__(self, hyps: tuple[IndexTerm, ...]) -> None:
+        self.hyps = hyps
+        leftover: set[EVar] = set()
+        for hyp in hyps:
+            leftover |= terms.free_evars(hyp)  # resolved: all unsolved
+        self.leftover = leftover
+        self._defs: tuple[int, dict[IndexTerm, IVar]] | None = None
+        self._cases: list[_HypothesisCase] | None = None
+        self._repeat_charge = 0
+
+    def _flatten(self) -> list[IndexTerm]:
+        """Eliminate operators from the hypotheses: the flattened
+        hypotheses followed by the definitions they introduced."""
+        defs = _Definitions()
+        parts = [_eliminate_ops(h, defs) for h in self.hyps]
+        if self._defs is None:
+            self._defs = (defs.counter, defs.cache)
+        return parts + defs.props
+
+    def definitions(
+        self,
+    ) -> tuple[list[IndexTerm] | None, int, dict[IndexTerm, IVar]]:
+        """The flattened hypothesis conjuncts — ``None`` once the
+        definition state is cached, since they are not kept (see
+        :meth:`split`) — and the definition counter and cache a goal's
+        conclusion continues from (the cache is shared: copy it before
+        extending it)."""
+        parts = None
+        if self._defs is None:
+            parts = self._flatten()
+        counter, cache = self._defs
+        return parts, counter, cache
+
+    def split(self, parts: list[IndexTerm] | None) -> list[_HypothesisCase]:
+        """The hypothesis DNF cases, charging the ambient budget what
+        splitting the hypothesis conjunction costs.
+
+        The first build splits for real.  The conjunction chain and
+        any flattened conjunct that is not itself a hypothesis are
+        fresh nodes, rebuilt by every goal that splits them; later
+        goals pay the same charge, computed once, without rebuilding.
+        Neither is kept, so other contexts' first splits see the same
+        DNF memos they would without this one.
+        """
+        cases = self._cases
+        if cases is not None:
+            budget = current_budget()
+            if budget is not None and self._repeat_charge:
+                budget.spend(self._repeat_charge)
+            return cases
+        if parts is None:
+            parts = self._flatten()
+        formula = terms.conj(parts)
+        dnf = _split_cases(formula)
+        with use_budget(None):
+            self._repeat_charge = _split_charge(
+                formula, _boolean_subterms(self.hyps), set()
+            )
+        cases = [_HypothesisCase(literals) for literals in dnf]
+        self._cases = cases
+        return cases
+
+
+def hypothesis_context(goal: Goal, store: EvarStore) -> HypothesisContext:
+    """The :class:`HypothesisContext` of ``goal`` in ``store``'s
+    per-check hypothesis table.
+
+    The key is the goal's resolved hypotheses with the sort
+    memberships of its rigid variables appended (the extraction pass
+    includes them already; appending them again, duplicates being
+    harmless, makes hand-built goals self-contained).
+
+    A key that holds a compound formula (``/\\``, ``\\/``, ``~``) built
+    for this goal alone — a hypothesis rewritten by evar resolution,
+    or a membership the goal does not list — gets a private context
+    instead: the table would keep that formula, and with it its DNF
+    memo, alive past the goal, making later goals' splits cheaper
+    than the budget accounts for.  The membership memo skips compound
+    memberships for the same reason.
+    """
+    resolve = store.resolve
+    hyps = [resolve(h) for h in goal.hyps]
+    shared = all(
+        resolved is hyp or not _is_compound(resolved)
+        for resolved, hyp in zip(hyps, goal.hyps)
+    )
+    memberships = store.memberships
+    for name_sort in goal.rigid.items():
+        membership = memberships.get(name_sort)
+        if membership is None:
+            name, sort = name_sort
+            membership = sort.constraint_on(terms.IVar(name))
+            if not _is_compound(membership):
+                memberships[name_sort] = membership
+        if not (isinstance(membership, BConst) and membership.value):
+            hyps.append(membership)
+            if shared and _is_compound(membership):
+                shared = any(membership is hyp for hyp in goal.hyps)
+    key = tuple(hyps)
+    if not shared:
+        return HypothesisContext(key)
+    table = store.hypotheses
+    context = table.get(key)
+    if context is None:
+        context = table.setdefault(key, HypothesisContext(key))
+    return context
+
+
+def _is_compound(formula: IndexTerm) -> bool:
+    return isinstance(formula, (And, Or)) or (
+        isinstance(formula, Not) and not isinstance(formula.arg, (IVar, EVar))
+    )
+
+
+def goal_slices(context: HypothesisContext, concl: IndexTerm):
+    """Yield ``(partition, concl_atoms, n_atoms)`` per DNF case of
+    ``hyps /\\ ~concl`` (``hyps`` being ``context.hyps``), where
+    ``partition`` is the :class:`~repro.solver.slice.Partition` of the
+    case's hypothesis atoms, ``concl_atoms`` the atoms from the negated
+    conclusion (and the operator definitions it introduced), and
+    ``n_atoms`` the size of the whole case — what the slicing layer
+    needs.
+
+    Only the conclusion half is computed here: the hypothesis cases,
+    their atom products and partitions come from ``context``.  The
+    cases, their order and every budget charge coincide with
+    :func:`goal_atom_sets` split into hypothesis and conclusion
+    conjunctions: ``conj`` is a left fold, so their product is the
+    full formula's DNF in lexicographic (hypothesis, conclusion)
+    order.  Each (hypothesis case, conclusion case) pair charges one
+    step, then the combined atom-choice product one step per element,
+    before its first case is yielded.
+    """
+    hyp_parts, counter, cache = context.definitions()
+    concl_props: list[IndexTerm] = []
+    if _needs_elimination(concl):
+        defs = _Definitions(counter, dict(cache))
+        concl = _eliminate_ops(concl, defs)
+        concl_props = defs.props
+    concl_formula = terms.conj(concl_props + [_negate(concl)])
+    hyp_cases = context.split(hyp_parts)
+    concl_cases = _split_cases(concl_formula)
+    # The unsliced path caps the materialized DNF of the full formula;
+    # case counts only grow along the conj fold, so it raises exactly
+    # when the final product exceeds the cap — reproduce that here even
+    # though the product is streamed, to keep failure modes identical.
+    if len(hyp_cases) * len(concl_cases) > _MAX_CASES:
+        raise UnsupportedGoal("case explosion during DNF split")
+    budget = current_budget()
+    for hyp_case in hyp_cases:
+        for concl_literals in concl_cases:
+            if budget is not None:
+                budget.spend()
+            if hyp_case.refuted:
+                continue  # propositionally refuted
+            if hyp_case.error is not None:
+                raise UnsupportedGoal(hyp_case.error)
+            converted = _convert_literals(
+                concl_literals, hyp_case.pos, hyp_case.neg
+            )
+            if converted is None:
+                continue  # propositionally refuted
+            choices = converted[2]
+            charge, size = hyp_case.charge, hyp_case.size
+            if size is not None:
+                extra, size = _product_charge(size, choices)
+                charge += extra
+            if budget is not None and charge:
+                budget.spend(charge)
+            if size is None:
+                raise UnsupportedGoal("case explosion from disequalities")
+            concl_product = _product(choices)
+            for hyp_atoms, part in hyp_case.elements():
+                n_hyp = len(hyp_atoms)
+                for concl_atoms in concl_product:
+                    yield part, concl_atoms, n_hyp + len(concl_atoms)
 
 
 def prove_goal(
@@ -590,7 +889,7 @@ def prove_goal(
     cache: "SolverCache | None" = None,
     telemetry: "SolverTelemetry | None" = None,
     limits: SolverLimits | None = None,
-    slicing: "SliceContext | None" = None,
+    slicing: SliceContext | None = None,
 ) -> GoalResult:
     """Attempt to discharge one goal; never raises.
 
@@ -604,6 +903,16 @@ def prove_goal(
     backend — which sits *above* the backend's memoization, so the
     cache sees the sliced (smaller, more shareable) canonical keys.
     ``None`` is the ``--no-slice`` escape hatch.
+
+    On the sliced path the hypothesis half of the goal comes from the
+    per-check hypothesis table in ``store`` (see
+    :func:`hypothesis_context`): goals with the same resolved
+    hypotheses share one flattening, one hypothesis DNF, one atom
+    conversion and one :class:`~repro.solver.slice.Partition` per
+    hypothesis case, built by the first of them.  This goal computes
+    only its conclusion half (:func:`goal_slices`), then extends the
+    shared partition with the conclusion atoms.  Verdicts, case counts
+    and budget charges are those of the unshared pipeline.
 
     ``limits`` is the goal's resource envelope (defaults to
     :data:`~repro.solver.budget.DEFAULT_LIMITS`): a fresh
@@ -649,20 +958,9 @@ def prove_goal(
             budget_exhausted=budget_exhausted, crashed=crashed,
         )
 
+    context = hypothesis_context(goal, store)
     concl = store.resolve(goal.concl)
-    hyps = [store.resolve(h) for h in goal.hyps]
-    # Sort memberships of the rigid variables are hypotheses too; the
-    # extraction pass includes them in goal.hyps already, but adding
-    # them here (duplicates are harmless) makes hand-built goals
-    # self-contained.
-    for name, sort in goal.rigid.items():
-        membership = sort.constraint_on(terms.IVar(name))
-        if not (isinstance(membership, BConst) and membership.value):
-            hyps.append(membership)
-
-    leftover = store.unsolved_in(concl)
-    for hyp in hyps:
-        leftover |= store.unsolved_in(hyp)
+    leftover = context.leftover | terms.free_evars(concl)
     if leftover:
         names = ", ".join(sorted(str(e) for e in leftover))
         return finish(False, f"unresolved existential variable(s): {names}")
@@ -674,15 +972,18 @@ def prove_goal(
     try:
         with use_budget(budget):
             if slicing is not None:
-                cases = goal_cases(hyps, concl)
+                cases = goal_slices(context, concl)
             else:
-                cases = ((atoms, 0) for atoms in goal_atom_sets(hyps, concl))
-            for atoms, n_hyp in cases:
+                cases = goal_atom_sets(list(context.hyps), concl)
+            for case in cases:
                 total_atom_sets += 1
                 if slicing is not None:
-                    verdict = slicing.query(backend, atoms, n_hyp)
+                    part, concl_atoms, n_atoms = case
+                    verdict = slicing.refute(
+                        backend, part.extend(concl_atoms), n_atoms
+                    )
                 else:
-                    verdict = backend.unsat(atoms)
+                    verdict = backend.unsat(case)
                 if not verdict:
                     if budget.exhausted:
                         # The backend caught the exhaustion internally
@@ -732,7 +1033,11 @@ def goal_atom_sets(hyps: list[IndexTerm], concl: IndexTerm):
 
     Raises :class:`UnsupportedGoal` on nonlinearity or inexpressible
     operators.  Shared by :func:`prove_goal` (``--no-slice`` path) and
-    the counterexample search in :mod:`repro.solver.diagnose`.
+    the counterexample search in :mod:`repro.solver.diagnose`.  It
+    splits the whole formula at once and shares nothing across goals;
+    the sliced path (:func:`goal_slices`) yields the same atom
+    conjunctions in the same order, each split into a shared
+    hypothesis partition and the goal's own conclusion atoms.
     """
     defs = _Definitions()
     flat_hyps = [_eliminate_ops(h, defs) for h in hyps]
@@ -745,48 +1050,6 @@ def goal_atom_sets(hyps: list[IndexTerm], concl: IndexTerm):
         yield from atom_sets
 
 
-def goal_cases(hyps: list[IndexTerm], concl: IndexTerm):
-    """Yield ``(atoms, n_hyp)`` pairs for the goal's DNF cases, where
-    ``atoms[:n_hyp]`` originate from the hypotheses (and operator
-    definitions they introduced) and the rest from the negated
-    conclusion — the split the slicing layer needs.
-
-    The flattened atom conjunctions coincide with
-    :func:`goal_atom_sets`: ``conj`` is a left fold, so splitting the
-    hypothesis and conclusion conjunctions separately and taking the
-    product yields the same cases in the same lexicographic
-    (hypothesis, conclusion) order, and the hypothesis subformula's DNF
-    memo is shared with the unsliced path.
-    """
-    defs = _Definitions()
-    flat_hyps = [_eliminate_ops(h, defs) for h in hyps]
-    hyp_props = list(defs.props)
-    flat_concl = _eliminate_ops(concl, defs)
-    concl_props = defs.props[len(hyp_props):]
-    hyp_formula = terms.conj(flat_hyps + hyp_props)
-    concl_formula = terms.conj(concl_props + [_negate(flat_concl)])
-    budget = current_budget()
-    hyp_cases = _split_cases(hyp_formula)
-    concl_cases = _split_cases(concl_formula)
-    # The unsliced path caps the materialized DNF of the full formula;
-    # case counts only grow along the conj fold, so it raises exactly
-    # when the final product exceeds the cap — reproduce that here even
-    # though the product is streamed, to keep failure modes identical.
-    if len(hyp_cases) * len(concl_cases) > _MAX_CASES:
-        raise UnsupportedGoal("case explosion during DNF split")
-    for hyp_literals in hyp_cases:
-        for concl_literals in concl_cases:
-            if budget is not None:
-                budget.spend()
-            tagged = _tagged_case_atom_sets(
-                tuple(hyp_literals) + tuple(concl_literals),
-                len(hyp_literals),
-            )
-            if tagged is None:
-                continue  # propositionally refuted
-            yield from tagged
-
-
 def prove_all(
     constraint: Constraint,
     store: EvarStore,
@@ -795,7 +1058,7 @@ def prove_all(
     cache: "SolverCache | None" = None,
     telemetry: "SolverTelemetry | None" = None,
     limits: SolverLimits | None = None,
-    slicing: "SliceContext | None" = None,
+    slicing: SliceContext | None = None,
 ) -> list[GoalResult]:
     """The full Section 3 pipeline for one constraint tree.
 

@@ -21,6 +21,18 @@ so each case goes slice → subsume → backend:
    sliced goals from different declarations collapse to one entry in
    the LRU *and* the driver's persistent cache.
 
+   Goals in one declaration share their hypotheses, so the partition
+   is built in two steps.  :func:`partition` groups the hypothesis
+   atoms of a case once, and every goal with those hypotheses reuses
+   that :class:`Partition`.  :meth:`Partition.extend` then adds one
+   goal's negated-conclusion atoms: it merges only the hypothesis
+   groups those atoms touch and reuses the rest as they are.  The
+   result equals :func:`split_components` on the whole case.  The
+   partitions live in the per-check hypothesis table of
+   :func:`repro.solver.simplify.hypothesis_context`, reached through
+   the check's :class:`~repro.indices.terms.EvarStore`.  They never hang
+   off :class:`SliceContext`, which a daemon keeps for its whole life.
+
 2. **Subsumption** (:class:`SliceContext`): every refuted component is
    remembered as a *core* (a set of atoms shown jointly
    unsatisfiable).  Any later component whose atom set is a syntactic
@@ -51,6 +63,7 @@ step.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -80,17 +93,121 @@ class SlicedSystem:
     relevant_atoms: int
 
 
-def split_components(
-    atoms: Sequence[Atom], seed_vars: set[LinVar]
-) -> SlicedSystem:
-    """Partition ``atoms`` into variable-connected components.
 
-    Ground atoms participate in no component: a trivially false one
-    refutes the whole system (``refuted=True``), a trivially true one
-    is dropped.  Components containing any of ``seed_vars`` (the
-    conclusion's variables) are ordered first; within that split,
-    components appear in order of their first atom and keep their
-    atoms in input order, so the decomposition is deterministic.
+class Partition:
+    """The variable-connected groups of a hypothesis atom prefix.
+
+    ``groups`` are in order of their first atom, each keeping its atoms
+    in input order; ``positions`` holds the matching input positions
+    (needed only when :meth:`extend` merges groups); ``var_group`` maps
+    every variable to the index of its group.  ``refuted`` — some
+    ground atom is trivially false.  Immutable once built, so one
+    partition serves every goal that shares the prefix.
+    """
+
+    __slots__ = ("refuted", "groups", "positions", "var_group")
+
+    def __init__(
+        self,
+        refuted: bool,
+        groups: list[list[Atom]],
+        positions: list[list[int]],
+        var_group: dict[LinVar, int],
+    ) -> None:
+        self.refuted = refuted
+        self.groups = groups
+        self.positions = positions
+        self.var_group = var_group
+
+    def extend(self, concl: Sequence[Atom]) -> SlicedSystem:
+        """The decomposition of ``prefix + concl``, seeded by the
+        variables of ``concl`` (the negated conclusion's atoms).
+
+        Only the groups the conclusion atoms touch are merged (a
+        union-find over group indices); every untouched group is reused
+        as it is.  The result equals
+        ``split_components(prefix + concl, vars(concl))``.
+        """
+        if self.refuted:
+            return SlicedSystem(True, [], 0)
+        var_group = self.var_group
+        base = len(self.groups)
+        # Union-find nodes: hypothesis group g is node g, conclusion
+        # atom i is node base + i.
+        parent: dict[int, int] = {}
+
+        def find(node: int) -> int:
+            root = node
+            while parent[root] != root:
+                root = parent[root]
+            while parent[node] != root:
+                parent[node], node = root, parent[node]
+            return root
+
+        fresh_vars: dict[LinVar, int] = {}
+        seeded: list[tuple[int, Atom]] = []
+        for i, atom in enumerate(concl):
+            coeffs = atom.lhs.coeffs
+            if not coeffs:
+                if atom.is_trivially_false():
+                    return SlicedSystem(True, [], 0)
+                continue  # trivially true ground atom
+            node = base + i
+            parent[node] = node
+            for var, _ in coeffs:
+                other = var_group.get(var)
+                if other is None:
+                    other = fresh_vars.get(var)
+                    if other is None:
+                        fresh_vars[var] = node
+                        continue
+                elif other not in parent:
+                    parent[other] = other
+                root_a, root_b = find(node), find(other)
+                if root_a != root_b:
+                    parent[root_a] = root_b
+            seeded.append((node, atom))
+
+        # Conclusion-connected components in order of first atom: those
+        # holding hypothesis groups first (by their lowest group, the
+        # groups being in first-atom order), then conclusion-only ones.
+        merged: dict[int, tuple[list[int], list[Atom]]] = {}
+        for group in sorted(node for node in parent if node < base):
+            root = find(group)
+            if root in merged:
+                merged[root][0].append(group)
+            else:
+                merged[root] = ([group], [])
+        for node, atom in seeded:
+            root = find(node)
+            if root not in merged:
+                merged[root] = ([], [])
+            merged[root][1].append(atom)
+
+        components: list[list[Atom]] = []
+        for groups, tail in merged.values():
+            if not groups:
+                components.append(tail)
+            elif len(groups) == 1:
+                components.append(self.groups[groups[0]] + tail)
+            else:
+                ordered = sorted(itertools.chain.from_iterable(
+                    zip(self.positions[g], self.groups[g]) for g in groups
+                ))
+                components.append([atom for _, atom in ordered] + tail)
+        relevant = sum(len(component) for component in components)
+        components += [
+            group for g, group in enumerate(self.groups) if g not in parent
+        ]
+        return SlicedSystem(False, components, relevant)
+
+
+def partition(atoms: Sequence[Atom]) -> Partition:
+    """Partition ``atoms`` into variable-connected groups (union-find
+    over each atom's variable set).
+
+    Ground atoms join no group: a trivially false one refutes the whole
+    system, a trivially true one is dropped.
     """
     parent: dict[LinVar, LinVar] = {}
 
@@ -102,39 +219,61 @@ def split_components(
             parent[var], var = root, parent[var]
         return root
 
-    var_atoms: list[tuple[Atom, LinVar]] = []
-    for atom in atoms:
-        avars = atom.lhs.variables()
-        if not avars:
+    var_atoms: list[tuple[int, Atom, LinVar]] = []
+    for position, atom in enumerate(atoms):
+        coeffs = atom.lhs.coeffs
+        if not coeffs:
             if atom.is_trivially_false():
-                return SlicedSystem(True, [], 0)
+                return Partition(True, [], [], {})
             continue  # trivially true ground atom
-        first: LinVar | None = None
-        for var in avars:
+        first = coeffs[0][0]
+        if first not in parent:
+            parent[first] = first
+        for var, _ in coeffs[1:]:
             if var not in parent:
                 parent[var] = var
-            if first is None:
-                first = var
-            else:
-                root_a, root_b = find(first), find(var)
-                if root_a != root_b:
-                    parent[root_a] = root_b
-        assert first is not None
-        var_atoms.append((atom, first))
+            root_a, root_b = find(first), find(var)
+            if root_a != root_b:
+                parent[root_a] = root_b
+        var_atoms.append((position, atom, first))
 
-    groups: dict[LinVar, list[Atom]] = {}
-    order: list[LinVar] = []
-    for atom, var in var_atoms:
+    index: dict[LinVar, int] = {}
+    groups: list[list[Atom]] = []
+    positions: list[list[int]] = []
+    for position, atom, var in var_atoms:
         root = find(var)
-        if root not in groups:
-            groups[root] = []
-            order.append(root)
-        groups[root].append(atom)
+        g = index.get(root)
+        if g is None:
+            g = index[root] = len(groups)
+            groups.append([])
+            positions.append([])
+        groups[g].append(atom)
+        positions[g].append(position)
+    var_group = {var: index[find(var)] for var in parent}
+    return Partition(False, groups, positions, var_group)
 
-    seed_roots = {find(var) for var in seed_vars if var in parent}
-    components = [groups[root] for root in order if root in seed_roots]
+
+def split_components(
+    atoms: Sequence[Atom], seed_vars: set[LinVar]
+) -> SlicedSystem:
+    """Partition ``atoms`` into variable-connected components.
+
+    Components containing any of ``seed_vars`` (the conclusion's
+    variables) are ordered first; within that split, components appear
+    in order of their first atom and keep their atoms in input order,
+    so the decomposition is deterministic.  The whole-system view of
+    :func:`partition`; goals take the incremental route instead
+    (:meth:`Partition.extend` on a shared hypothesis partition).
+    """
+    part = partition(atoms)
+    if part.refuted:
+        return SlicedSystem(True, [], 0)
+    seeds = {part.var_group[var] for var in seed_vars if var in part.var_group}
+    components = [group for g, group in enumerate(part.groups) if g in seeds]
     relevant = sum(len(component) for component in components)
-    components += [groups[root] for root in order if root not in seed_roots]
+    components += [
+        group for g, group in enumerate(part.groups) if g not in seeds
+    ]
     return SlicedSystem(False, components, relevant)
 
 
@@ -172,15 +311,21 @@ class SliceContext:
 
         ``atoms[:n_hyp]`` originate from the hypotheses, the rest from
         the negated conclusion — the split drives the relevancy seed.
+        Goals skip this entry point: they keep one :class:`Partition`
+        per hypothesis case and call :meth:`refute` directly.
         """
-        seed_vars: set[LinVar] = set()
-        for atom in atoms[n_hyp:]:
-            seed_vars |= atom.lhs.variables()
-        sliced = split_components(atoms, seed_vars)
+        sliced = partition(atoms[:n_hyp]).extend(atoms[n_hyp:])
+        return self.refute(backend, sliced, len(atoms))
+
+    def refute(
+        self, backend: Backend, sliced: SlicedSystem, n_atoms: int
+    ) -> bool:
+        """Refute one decomposed goal case of ``n_atoms`` atoms: subsume
+        or query its components, conclusion-connected ones first."""
         if self.telemetry is not None:
             with self._lock:
                 self.telemetry.sliced_queries += 1
-                self.telemetry.atoms_before += len(atoms)
+                self.telemetry.atoms_before += n_atoms
                 self.telemetry.atoms_after += sliced.relevant_atoms
         if sliced.refuted:
             return True

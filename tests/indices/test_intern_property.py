@@ -132,16 +132,35 @@ def test_linearize_memoization_preserves_failures():
     x, y = IVar("x"), IVar("y")
     nonlinear = BinOp("*", x, y)
     first = None
-    for _ in range(2):  # second round hits the memoized exception
+    for _ in range(2):  # second round hits the memoized failure
         try:
             linearize(nonlinear)
         except NonLinearIndex as exc:
             if first is None:
                 first = exc
             else:
-                assert exc is first  # the cached instance is re-raised
+                # The memo re-raises the same failure, as a fresh
+                # exception that carries only its own traceback.
+                assert exc is not first
+                assert str(exc) == str(first) and exc.term is first.term
         else:
             raise AssertionError("x*y linearized")
+
+
+def test_linearize_failure_memo_keeps_no_frames_alive():
+    """Re-raising one cached exception object grew its traceback by
+    the raising frames on every hit, keeping all of them alive."""
+    nonlinear = BinOp("*", IVar("x"), IVar("y"))
+    for _ in range(50):
+        try:
+            linearize(nonlinear)
+        except NonLinearIndex as exc:
+            last = exc
+    depth, tb = 0, last.__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    assert depth <= 3
+    assert not isinstance(nonlinear._lin, BaseException)
 
 
 def random_atom_system(rng: random.Random) -> list[Atom]:

@@ -28,6 +28,7 @@ from repro.server.protocol import CheckRequest, ProtocolError, admit_limits
 from repro.server.sessions import CheckService, ServerConfig
 from repro.solver.budget import DEFAULT_LIMITS, SolverLimits
 from tests.test_failsoft import ADVERSARIAL
+from tests.test_nesting import DEEP_PARENS, DEEP_SUM
 
 GOOD = (
     "fun f(a) = sub(a, 0) "
@@ -282,6 +283,14 @@ class TestErrors:
         assert exc.value.status == 422
         assert "error" in exc.value.payload
         # The daemon is unharmed: next request answers normally.
+        assert client.check(GOOD)["ok"] is True
+
+    @pytest.mark.parametrize("deep", [DEEP_SUM, DEEP_PARENS], ids=["sum", "parens"])
+    def test_too_deep_nesting_is_422_not_500(self, client, deep):
+        with pytest.raises(ServeError) as exc:
+            client.check(deep, "deep.dml")
+        assert exc.value.status == 422
+        assert "nesting too deep" in exc.value.payload["error"]
         assert client.check(GOOD)["ok"] is True
 
 

@@ -27,6 +27,7 @@ from repro.server.client import ServeClient, ServeError
 from repro.server.sessions import CheckService, ServerConfig
 from repro.server.workers import fork_available
 from tests.server.test_serve import BAD, GOOD, reference_verdicts
+from tests.test_nesting import DEEP_PARENS, DEEP_SUM
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -95,6 +96,14 @@ class TestParity:
         with pytest.raises(ServeError) as exc:
             client.check("fun = 3", "syntax.dml")
         assert exc.value.status == 422
+        assert client.check(GOOD)["ok"] is True
+
+    @pytest.mark.parametrize("deep", [DEEP_SUM, DEEP_PARENS], ids=["sum", "parens"])
+    def test_too_deep_nesting_is_422_and_pool_survives(self, client, deep):
+        with pytest.raises(ServeError) as exc:
+            client.check(deep, "deep.dml")
+        assert exc.value.status == 422
+        assert "nesting too deep" in exc.value.payload["error"]
         assert client.check(GOOD)["ok"] is True
 
     def test_admission_clamping_is_parent_side(self, process_daemon):

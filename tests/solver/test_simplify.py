@@ -2,19 +2,28 @@
 elimination, operator elimination, and case splitting."""
 
 
+import pytest
+
+from repro import api, programs
 from repro.indices import constraints as cs
 from repro.indices import terms
 from repro.indices.sorts import BOOL, INT, NAT
 from repro.indices.terms import EvarStore, IConst, IVar
+from repro.solver import budget as budget_module
 from repro.solver.backends import get_backend
+from repro.solver.budget import SolverLimits
 from repro.solver.simplify import (
     Goal,
     SolveStats,
+    UnsupportedGoal,
+    _split_cases,
     extract_goals,
+    hypothesis_context,
     prove_all,
     prove_goal,
     solve_evars,
 )
+from repro.solver.slice import SliceContext
 
 FOURIER = get_backend("fourier")
 
@@ -299,6 +308,87 @@ class TestOperatorElimination:
         result = self.prove({"a": INT, "b": INT}, [],
                             terms.cmp(">=", prod, IConst(0)))
         assert not result.proved
+
+
+class TestSharedHypotheses:
+    """Goals of one check with the same hypotheses share one hypothesis
+    context; sharing must not change what a goal proves or spends."""
+
+    I, N = IVar("i"), IVar("n")
+    HYPS = [
+        terms.bor(lt(I, N), eq(I, terms.BinOp("min", N, IConst(7)))),
+        terms.cmp("<>", I, IConst(3)),
+        terms.cmp(">=", I, IConst(0)),
+    ]
+    RIGID = {"i": INT, "n": NAT}
+
+    @pytest.fixture
+    def spent(self, monkeypatch):
+        """Steps each goal's budget spent, in proof order."""
+        budgets = []
+        start = budget_module.Budget.start.__func__
+
+        def recording(cls, limits=None):
+            budgets.append(start(cls, limits))
+            return budgets[-1]
+
+        monkeypatch.setattr(
+            budget_module.Budget, "start", classmethod(recording)
+        )
+        return lambda: [1_000_000 - b.remaining for b in budgets]
+
+    def run(self, store, concl, limits=SolverLimits(max_steps=1_000_000)):
+        goal = Goal(dict(self.RIGID), list(self.HYPS), concl)
+        return prove_goal(
+            goal, store, FOURIER, limits=limits, slicing=SliceContext()
+        )
+
+    def test_goals_share_one_context(self):
+        store = EvarStore()
+        first = Goal(dict(self.RIGID), list(self.HYPS), lt(self.I, IConst(9)))
+        second = Goal(dict(self.RIGID), list(self.HYPS), lt(self.I, self.N))
+        assert hypothesis_context(first, store) is hypothesis_context(
+            second, store
+        )
+        assert len(store.hypotheses) == 1
+        # A snapshot shares the table; a new check starts empty.
+        assert store.snapshot().hypotheses is store.hypotheses
+        assert EvarStore().hypotheses == {}
+
+    def test_a_finished_check_releases_its_table(self):
+        report = api.check(
+            programs.load_source("bsearch"), "bsearch.dml", cache=None
+        )
+        assert report.stats.proved == report.stats.goals > 0
+        assert report.elab.store.hypotheses == {}
+        assert report.elab.store.memberships == {}
+
+    def test_second_goal_proves_and_spends_as_if_alone(self, spent):
+        concl = terms.cmp(
+            "<", terms.BinOp("max", self.I, IConst(0)), terms.iadd(self.N, IConst(8))
+        )
+        shared = EvarStore()
+        self.run(shared, lt(self.I, IConst(100)))
+        after_first = self.run(shared, concl)
+        alone = self.run(EvarStore(), concl)
+        assert after_first.proved and alone.proved
+        assert after_first.cases == alone.cases
+        steps = spent()
+        assert steps[1] == steps[2] > 0
+
+    def test_case_explosion_memo_keeps_no_frames_alive(self):
+        wide = terms.FALSE
+        for k in range(65):
+            wide = terms.bor(wide, eq(self.I, IConst(k)))
+        formula = terms.band(wide, terms.bor(wide, lt(self.N, self.I)))
+        for _ in range(20):
+            with pytest.raises(UnsupportedGoal) as exc:
+                _split_cases(formula)
+        depth, tb = 0, exc.value.__traceback__
+        while tb is not None:
+            depth, tb = depth + 1, tb.tb_next
+        assert depth <= 3
+        assert "case explosion" in str(exc.value)
 
 
 class TestProveAll:

@@ -17,12 +17,15 @@ the cache-stats plumbing.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import api, programs
 from repro.indices.linear import Atom, LinComb
 from repro.solver import backends, portfolio
 from repro.solver.backends import Backend, get_backend
 from repro.solver.budget import Budget, BudgetExhausted, use_budget
-from repro.solver.slice import SliceContext, split_components
+from repro.solver.slice import SliceContext, partition, split_components
 from tests.solver.test_differential import SYSTEMS, omega_verdict
 
 
@@ -124,6 +127,98 @@ class TestSplitComponents:
         sliced = split_components(atoms, {"y"})
         assert len(sliced.components) == 1
         assert sliced.relevant_atoms == 3
+
+
+# ---------------------------------------------------------------------------
+# Property: partition the hypothesis prefix, then extend
+# ---------------------------------------------------------------------------
+
+_atoms = st.builds(
+    lambda rel, const, coeffs: Atom(rel, lc(const, **coeffs)),
+    st.sampled_from([">=", "="]),
+    st.integers(-2, 2),
+    # Empty coefficient maps make ground atoms, true or false by const.
+    st.dictionaries(
+        st.sampled_from("abcdefgh"), st.integers(-2, 2).filter(bool),
+        max_size=3,
+    ),
+)
+
+
+def _reference_components(atoms, seed_vars):
+    """Connected components grown to a fixpoint over atom indices —
+    independent of the union-find under test.  ``None`` for a ground
+    false atom; otherwise seed-connected components first, each group
+    of the two in first-atom order, atoms in input order."""
+    if any(not a.lhs.coeffs and a.is_trivially_false() for a in atoms):
+        return None
+    pending = [i for i, atom in enumerate(atoms) if atom.lhs.coeffs]
+    components = []
+    while pending:
+        members = {pending[0]}
+        while True:
+            reach = set().union(*(atoms[i].variables() for i in members))
+            grown = {i for i in pending if atoms[i].variables() & reach}
+            if grown == members:
+                break
+            members = grown
+        components.append(sorted(members))
+        pending = [i for i in pending if i not in members]
+    seeded = [
+        c for c in components
+        if any(atoms[i].variables() & seed_vars for i in c)
+    ]
+    ordered = seeded + [c for c in components if c not in seeded]
+    return [[atoms[i] for i in c] for c in ordered]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_atoms, max_size=12), st.data())
+def test_extending_a_prefix_partition_matches_split_components(atoms, data):
+    split = data.draw(st.integers(0, len(atoms)))
+    hyps, concl = atoms[:split], atoms[split:]
+    seed_vars = set()
+    for atom in concl:
+        seed_vars |= atom.variables()
+
+    whole = split_components(atoms, seed_vars)
+    extended = partition(hyps).extend(concl)
+    assert extended.refuted == whole.refuted
+    assert extended.components == whole.components
+    assert extended.relevant_atoms == whole.relevant_atoms
+
+    reference = _reference_components(atoms, seed_vars)
+    if reference is None:
+        assert whole.refuted
+    else:
+        assert not whole.refuted
+        assert whole.components == reference
+
+
+def test_cold_corpus_work_counters_are_pinned():
+    """The deterministic work of a cold check of the 14 paper programs,
+    summed: goals, DNF cases, backend queries and every slicing
+    counter.  Sharing hypothesis-side work across goals changes how
+    fast these are produced, never how many."""
+    totals = dict.fromkeys(
+        ["goals", "cases", "queries", "unsat", "sliced_queries",
+         "atoms_before", "atoms_after", "subsumption_hits"], 0,
+    )
+    for name in programs.available():
+        telemetry = portfolio.SolverTelemetry()
+        report = api.check(
+            programs.load_source(name), f"{name}.dml", cache=None,
+            telemetry=telemetry,
+        )
+        totals["goals"] += report.stats.goals
+        totals["cases"] += report.stats.cases
+        for field in list(totals)[2:]:
+            totals[field] += getattr(telemetry, field)
+    assert totals == {
+        "goals": 505, "cases": 816, "queries": 539, "unsat": 366,
+        "sliced_queries": 929, "atoms_before": 9242, "atoms_after": 6170,
+        "subsumption_hits": 378,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ down a batch.
 
 import pytest
 
-from repro import api, driver
+from repro import api, driver, programs
 from repro.cli import main
 from repro.solver import backends, fourier
 from repro.solver.backends import Backend
@@ -106,6 +106,27 @@ class TestCheckDegradation:
         )
         # Simple goals (small systems) still got real verdicts.
         assert report.stats.proved > 0
+
+
+@pytest.mark.parametrize(
+    "slice_goals, kept, unproved", [(True, 27, 38), (False, 39, 89)],
+    ids=["sliced", "unsliced"],
+)
+def test_tight_budget_corpus_verdicts_are_pinned(slice_goals, kept, unproved):
+    """Under a 60-step budget most of the corpus runs out of steps, so
+    the totals pin *where* the solver charges its budget — one step
+    per DNF conjunction, per (hypothesis case, conclusion case) pair,
+    per atom-choice product element and per component probe.  Sharing
+    hypothesis-side work across goals must not change any of them."""
+    total_kept = total_unproved = 0
+    for name in programs.available():
+        report = api.check(
+            programs.load_source(name), f"{name}.dml", cache=None,
+            limits=TIGHT, slice_goals=slice_goals,
+        )
+        total_kept += len(report.elab.sites) - len(report.eliminable_sites())
+        total_unproved += len(report.failed_goals)
+    assert (total_kept, total_unproved) == (kept, unproved)
 
 
 class TestDriverDegradation:
