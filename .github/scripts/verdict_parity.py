@@ -15,8 +15,8 @@ in parallel, at the default step budget.
 ``--fuzz-corpus`` scales the same promise up: a generated corpus
 (``repro fuzz --corpus-scale``, ~10x the bundled one, with failing
 goals in the mix by construction) driven through ``check-corpus
---dir`` must produce byte-identical verdicts at jobs=1, jobs=4, and
-under the process executor.
+--dir`` must produce byte-identical verdicts at jobs=1 and jobs=4
+(worker processes), with and without a verdict store.
 
 ``--serve-executor-parity`` checks the daemon's executor promise
 (ISSUE 10): a ``repro serve`` daemon under ``--executor thread`` and
@@ -72,9 +72,8 @@ def fuzz_corpus_parity() -> int:
         paths = emit_corpus(corpus, 160, seed=0)
         seq = driver.check_corpus(jobs=1, cache_dir=None, source_dir=corpus)
         par = driver.check_corpus(jobs=4, cache_dir=None, source_dir=corpus)
-        proc = driver.check_corpus(
-            jobs=4, executor="process", cache_dir=f"{tmp}/cache",
-            source_dir=corpus,
+        stored = driver.check_corpus(
+            jobs=4, cache_dir=f"{tmp}/cache", source_dir=corpus
         )
 
     if len(seq.rows) != len(paths):
@@ -88,8 +87,8 @@ def fuzz_corpus_parity() -> int:
         print("jobs=4 verdicts diverged from jobs=1 on the generated "
               "corpus", file=sys.stderr)
         return 1
-    if verdicts(proc) != verdicts(seq):
-        print("process-executor verdicts diverged on the generated "
+    if verdicts(stored) != verdicts(seq):
+        print("jobs=4 verdicts with a store diverged on the generated "
               "corpus", file=sys.stderr)
         return 1
     failing = sum(1 for row in seq.rows if not row.ok)
@@ -104,7 +103,7 @@ def fuzz_corpus_parity() -> int:
         f"fuzz-corpus parity ok: {len(seq.rows)} generated programs, "
         f"{seq.goals} goals ({failing} program(s) with unproved sites "
         "by construction), verdicts identical at jobs=1 / jobs=4 / "
-        "process executor"
+        "jobs=4 with a store"
     )
     return 0
 

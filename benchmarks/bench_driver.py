@@ -1,4 +1,4 @@
-"""The parallel, incrementally-cached checking driver on the full corpus.
+"""The incrementally-cached checking driver on the full corpus.
 
 Three claims, each load-bearing for running the checker as a batch
 service:
@@ -10,9 +10,10 @@ service:
   ``.repro-cache`` answers at least 90% of its solver queries from the
   cache (in practice: all of them, because unchanged declarations
   replay without querying at all) and re-solves nothing;
-* **parallel speed** — the cold parallel run does no more backend work
-  than the sequential one (the shared in-memory cache can only remove
-  queries), and the cold→warm wall-clock ratio shows the cache payoff.
+* **cache payoff** — the table's cold→warm wall-clock ratio.  The
+  cold parallel run may query the backend more than the sequential
+  one: each worker process starts from the persisted verdicts only,
+  while the sequential run shares one in-memory cache across programs.
 """
 
 from __future__ import annotations

@@ -21,10 +21,16 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro import programs
-from repro.core.elaborate import ElabResult, SiteInfo, elaborate_program
+from repro.core.elaborate import (
+    DeclConstraint,
+    ElabResult,
+    SiteInfo,
+    elaborate_program,
+)
 from repro.core.env import GlobalEnv
 from repro.core.ml_infer import MLInferencer
 from repro.indices.terms import EvarStore
@@ -43,7 +49,14 @@ from repro.solver.portfolio import (
     instrument,
 )
 from repro.solver.budget import SolverLimits
-from repro.solver.simplify import GoalResult, SolveStats, prove_all
+from repro.solver.simplify import (
+    Goal,
+    GoalResult,
+    SolveStats,
+    extract_goals,
+    prove_goal,
+    solve_evars,
+)
 from repro.solver.slice import SliceContext
 
 
@@ -232,7 +245,7 @@ def elaborate_source(
 ) -> Elaboration:
     """Parse, ML-infer, and dependently elaborate one program.
 
-    The shared front half of :func:`check` and the parallel driver
+    The shared front half of :func:`check` and the checking driver
     (:mod:`repro.driver`).  ``generation_seconds`` covers exactly the
     per-program work: prelude elaboration is memoized process-wide and
     excluded from the timing.
@@ -301,37 +314,78 @@ def check(
         slicing = None
 
     front = elaborate_source(source, name, include_prelude)
-    src, store, elab = front.source, front.store, front.elab
+    report, _ = solve_elaboration(
+        front, name, backend, telemetry, limits=limits, slicing=slicing
+    )
+    return report
 
+
+#: ``replay(decl, goals)`` may answer one declaration's freshly
+#: extracted goals from a record (one result per goal, in order), or
+#: return ``None`` to have them proved.
+Replay = Callable[[DeclConstraint, list[Goal]], list[GoalResult] | None]
+
+
+def solve_elaboration(
+    front: Elaboration,
+    name: str,
+    backend: Backend,
+    telemetry: SolverTelemetry,
+    *,
+    limits: SolverLimits | None = None,
+    slicing: SliceContext | None = None,
+    replay: Replay | None = None,
+) -> tuple[CheckReport, list[list[GoalResult]]]:
+    """The solve half of :func:`check`: for each declaration in order,
+    extract its goals, eliminate their existential variables, and
+    prove them; then probe for unreachable branches and fold the
+    fail-soft counts into ``telemetry``.
+
+    ``backend`` is the instrumented stack from :func:`_resolve_backend`.
+    ``replay`` lets the checking driver (:mod:`repro.driver`) answer a
+    declaration from its persisted record instead; existential
+    variables are still solved first, so later declarations see the
+    same store either way.  Returns the report and its goal results
+    grouped by declaration.
+    """
+    store, elab = front.store, front.elab
     stats = SolveStats()
     solve_started = time.perf_counter()
-    goal_results: list[GoalResult] = []
+    by_decl: list[list[GoalResult]] = []
     for dc in elab.decl_constraints:
-        goal_results.extend(
-            prove_all(
-                dc.constraint, store, backend, stats,
-                limits=limits, slicing=slicing,
-            )
-        )
-    warnings = _unreachable_warnings(elab, store, backend, src, limits, slicing)
+        goals = extract_goals(dc.constraint, store)
+        stats.evars_solved += solve_evars(goals, store)
+        results = replay(dc, goals) if replay is not None else None
+        if results is None:
+            results = [
+                prove_goal(goal, store, backend, limits=limits, slicing=slicing)
+                for goal in goals
+            ]
+        for result in results:
+            stats.add(result)
+        by_decl.append(results)
+    warnings = _unreachable_warnings(
+        elab, store, backend, front.source, limits, slicing
+    )
     store.end_check()
     solve_seconds = time.perf_counter() - solve_started
     telemetry.budget_exhausted += stats.budget_exhausted
     telemetry.contained_crashes += stats.contained_crashes
 
-    return CheckReport(
+    report = CheckReport(
         name=name,
-        source=src,
+        source=front.source,
         program=front.program,
         env=front.env,
         elab=elab,
-        goal_results=goal_results,
+        goal_results=[result for results in by_decl for result in results],
         stats=stats,
         generation_seconds=front.generation_seconds,
         solve_seconds=solve_seconds,
         warnings=warnings,
         telemetry=telemetry,
     )
+    return report, by_decl
 
 
 def _resolve_backend(
@@ -374,7 +428,6 @@ def _unreachable_warnings(
     contradictory can never execute (e.g. the nil clause of a match on
     a provably non-empty list).  Purely informative."""
     from repro.indices import terms
-    from repro.solver.simplify import Goal, prove_goal
 
     warnings = []
     for probe in elab.probes:

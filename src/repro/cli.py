@@ -426,7 +426,6 @@ def cmd_check_corpus(args: argparse.Namespace) -> int:
         names,
         jobs=args.jobs,
         backend=args.backend,
-        executor=args.executor,
         cache_dir=None if args.no_cache else args.cache_dir,
         clear=args.clear_cache,
         limits=_limits(args),
@@ -674,14 +673,11 @@ def build_parser() -> argparse.ArgumentParser:
              "positional names then select stems within DIR")
     p_corpus.add_argument(
         "--jobs", "-j", type=int, default=None, metavar="N",
-        help="worker count (default: CPU count; 1 = sequential)")
+        help="worker processes (default: CPU count; 1 = in this "
+             "process, sequentially)")
     p_corpus.add_argument(
         "--backend", default="fourier", choices=backend_names(),
         help="constraint solver backend")
-    p_corpus.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help="thread pool (shared in-memory cache) or process pool "
-             "(GIL-free; workers share only the on-disk cache)")
     p_corpus.add_argument(
         "--cache-dir", default=".repro-cache", metavar="DIR",
         help="persistent verdict cache directory (default: .repro-cache)")

@@ -1,12 +1,12 @@
-"""Batch-capable, parallel, incrementally-cached checking driver.
+"""Batch-capable, incrementally-cached checking driver.
 
 Public surface::
 
     from repro import driver
 
-    outcome = driver.check_program(source, jobs=4, disk=driver.open_store())
+    outcome = driver.check_program(source, disk=driver.open_store())
     outcome.report.all_proved          # the usual CheckReport
-    outcome.driver.utilization         # plus driver telemetry
+    outcome.driver.goals_replayed      # plus driver telemetry
 
     corpus = driver.check_corpus(jobs=4, cache_dir=".repro-cache")
     print(corpus.render())

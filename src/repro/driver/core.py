@@ -1,18 +1,12 @@
-"""The parallel, incrementally-cached checking driver.
+"""The incrementally-cached checking driver.
 
-:func:`repro.api.check` is a single-shot pipeline: one program, one
-thread, every goal re-solved from scratch.  This module turns it into
-a batch service:
+:func:`repro.api.check` is a single-shot pipeline: one program, every
+goal solved from scratch.  This module turns it into a batch service:
 
-* **Parallel fan-out** — proof goals are independent once constraint
-  generation and existential-variable solving have run (``prove_goal``
-  only *reads* the evar store), so :func:`check_program` fans them out
-  over a thread pool.  Each goal is proved against an
-  :meth:`~repro.indices.terms.EvarStore.snapshot` taken at the exact
-  pipeline point where the sequential checker would have proved it, so
-  verdicts are identical to ``api.check`` regardless of scheduling.
-  :func:`check_corpus` additionally fans whole programs out, over a
-  thread pool or (``executor="process"``) a process pool.
+* **One solve loop** — :func:`check_program` runs ``api.check``'s own
+  per-declaration loop (:func:`repro.api.solve_elaboration`), so its
+  verdicts are ``api.check``'s by construction; it only adds the
+  replay and persistence below.
 * **Incremental re-checking** — the sqlite
   :class:`~repro.driver.store.SqliteVerdictStore` persists both solver
   verdicts (canonical-key level) and whole declaration verdict records
@@ -23,6 +17,10 @@ a batch service:
   most backend queries from the persisted solver layer.  The store
   merges concurrent writers' rows instead of overwriting them, so a
   daemon and a corpus run can share one cache directory.
+* **Corpus parallelism** — :func:`check_corpus` checks whole programs
+  in a pool of worker processes (the solver is CPU-bound Python, so
+  threads would serialize on the GIL).  Each worker persists its own
+  verdicts to the shared store; the parent only collects the rows.
 * **Telemetry** — per-program wall clock, worker utilization, cache
   hit rates, and replay counts, aggregated corpus-wide by
   :class:`CorpusReport` (the ``repro check-corpus`` CLI prints it).
@@ -31,33 +29,19 @@ a batch service:
 from __future__ import annotations
 
 import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import api, programs
-from repro.api import CheckReport
+from repro.core.elaborate import DeclConstraint
 from repro.driver.hashing import decl_keys, prelude_hash
 from repro.driver.store import GoalRecord, SqliteVerdictStore, open_store
-from repro.indices.terms import EvarStore
 from repro.solver.backends import Backend
 from repro.solver.budget import SolverLimits
-from repro.solver.portfolio import (
-    SolverCache,
-    SolverTelemetry,
-    decode_key,
-    encode_key,
-)
-from repro.solver.simplify import (
-    Goal,
-    GoalResult,
-    SolveStats,
-    extract_goals,
-    prove_goal,
-    solve_evars,
-)
+from repro.solver.portfolio import SolverCache, SolverTelemetry
+from repro.solver.simplify import Goal, GoalResult
 from repro.solver.slice import SliceContext
 
 
@@ -80,13 +64,9 @@ def _backend_name(backend: Backend | str) -> str:
 class DriverStats:
     """Driver-level telemetry for one checked program."""
 
-    jobs: int = 1
     wall_seconds: float = 0.0
     generation_seconds: float = 0.0
-    #: Wall clock of the (possibly parallel) solve phase.
     solve_seconds: float = 0.0
-    #: Summed wall time of the individual goal tasks.
-    busy_seconds: float = 0.0
     goals: int = 0
     #: Goals answered by replaying a persisted declaration record.
     goals_replayed: int = 0
@@ -95,20 +75,12 @@ class DriverStats:
     #: Solver verdicts preloaded from disk into the in-memory cache.
     preloaded: int = 0
 
-    @property
-    def utilization(self) -> float:
-        """Fraction of the solve-phase worker capacity actually busy."""
-        capacity = self.solve_seconds * max(self.jobs, 1)
-        if capacity <= 0:
-            return 0.0
-        return min(self.busy_seconds / capacity, 1.0)
-
 
 @dataclass
 class DriverReport:
     """A :class:`~repro.api.CheckReport` plus driver telemetry."""
 
-    report: CheckReport
+    report: api.CheckReport
     driver: DriverStats
 
     @property
@@ -123,8 +95,7 @@ class DriverReport:
         stats = self.driver
         lines = [
             self.report.summary(),
-            f"driver:           jobs={stats.jobs} "
-            f"utilization={stats.utilization:.0%} "
+            f"driver:           "
             f"replayed {stats.goals_replayed}/{stats.goals} goal(s), "
             f"decl cache {stats.decl_hits} hit(s) / "
             f"{stats.decl_misses} miss(es), "
@@ -138,7 +109,6 @@ def check_program(
     name: str = "<input>",
     *,
     backend: Backend | str = "fourier",
-    jobs: int | None = 1,
     cache: SolverCache | None = None,
     disk: SqliteVerdictStore | None = None,
     telemetry: SolverTelemetry | None = None,
@@ -148,164 +118,83 @@ def check_program(
     limits: SolverLimits | None = None,
     slice_goals: bool = True,
 ) -> DriverReport:
-    """Check one program with parallel goal solving and incremental
-    verdict replay.
+    """Check one program with incremental verdict replay.
 
-    Produces goal verdicts byte-identical to ``api.check(source, ...)``
-    with the same backend: constraint generation and existential
-    solving run sequentially in declaration order (they are cheap and
-    order-sensitive), and only the backend-heavy ``prove_goal`` calls
-    fan out, each against an evar-store snapshot frozen at its decl's
-    sequential solve point.
+    Produces goal verdicts identical to ``api.check(source, ...)`` with
+    the same backend: both run :func:`repro.api.solve_elaboration`.
 
-    ``disk`` enables the two persistence layers; ``seed=False`` skips
-    preloading (the corpus driver seeds a shared cache once), and
-    ``persist=False`` skips the write-back (ditto).
+    ``disk`` enables the two persistence layers: a declaration whose
+    content key has a matching record is replayed instead of proved,
+    and every freshly proved declaration is recorded.  ``seed=False``
+    skips preloading the solver cache from ``disk`` (the in-process
+    corpus driver seeds a shared cache once), and ``persist=False``
+    skips writing the solver cache back (ditto).
 
     ``limits`` bounds each goal's proof effort (fail-soft: exhaustion
     or a backend crash records the goal unproved and the batch
-    continues).  Each *goal* gets its own budget/deadline, so one
-    pathological goal cannot starve its worker's siblings.
+    continues).  Each goal gets its own budget and deadline.
 
     ``slice_goals`` enables the goal-preprocessing layer
     (:mod:`repro.solver.slice`); one :class:`SliceContext` is shared by
-    all workers, so refuted cores propagate across goals and
+    all goals, so refuted cores propagate across goals and
     declarations within the run.
     """
-    jobs = _effective_jobs(jobs)
-    telemetry = telemetry if telemetry is not None else SolverTelemetry()
-    slicing = SliceContext(telemetry) if slice_goals else None
     if cache is None:
         cache = SolverCache(maxsize=65536)
-    stats = DriverStats(jobs=jobs)
+    backend_stack, telemetry = api._resolve_backend(backend, cache, telemetry)
+    slicing = SliceContext(telemetry) if slice_goals else None
+    stats = DriverStats()
     started = time.perf_counter()
     if disk is not None and seed:
         stats.preloaded = disk.seed(cache)
 
     front = api.elaborate_source(source, name, include_prelude)
     stats.generation_seconds = front.generation_seconds
-    store, elab = front.store, front.elab
 
-    # Content keys for every declaration (prefix chain: an edit
-    # invalidates its own decl and everything after it).
-    prelude = prelude_hash() if include_prelude else "none"
-    keys = decl_keys(
-        source, front.program.decls,
-        backend=_backend_name(backend), prelude=prelude,
-    )
-    key_by_span = {
-        (decl.span.start, decl.span.end): key
-        for decl, key in zip(front.program.decls, keys)
-    }
-
-    main_backend, telemetry = api._resolve_backend(backend, cache, telemetry)
-
-    # -- sequential pre-pass: extraction, evar solving, replay ----------
-    solve_started = time.perf_counter()
-    solve_stats = SolveStats()
-    slots: list[list[GoalResult | None]] = []
-    pending: list[tuple[int, int, Goal, EvarStore]] = []
-    decl_cache_keys: list[str | None] = []
-    for di, dc in enumerate(elab.decl_constraints):
-        goals = extract_goals(dc.constraint, store)
-        solve_stats.evars_solved += solve_evars(goals, store)
-        decl_key = key_by_span.get((dc.decl.span.start, dc.decl.span.end))
-        decl_cache_keys.append(decl_key)
-        results: list[GoalResult | None] = [None] * len(goals)
-        slots.append(results)
-        records = (
-            disk.decl_lookup(decl_key)
-            if disk is not None and decl_key is not None
-            else None
+    replay = None
+    if disk is not None:
+        # Content keys for every declaration (prefix chain: an edit
+        # invalidates its own decl and everything after it).
+        prelude = prelude_hash() if include_prelude else "none"
+        keys = decl_keys(
+            source, front.program.decls,
+            backend=_backend_name(backend), prelude=prelude,
         )
-        if records is not None and _replayable(records, goals):
+        key_by_span = {
+            (decl.span.start, decl.span.end): key
+            for decl, key in zip(front.program.decls, keys)
+        }
+
+        def decl_key(dc: DeclConstraint) -> str | None:
+            return key_by_span.get((dc.decl.span.start, dc.decl.span.end))
+
+        def replay(
+            dc: DeclConstraint, goals: list[Goal]
+        ) -> list[GoalResult] | None:
+            key = decl_key(dc)
+            records = disk.decl_lookup(key) if key is not None else None
+            if records is None or not _replayable(records, goals):
+                stats.decl_misses += 1
+                return None
             stats.decl_hits += 1
-            for gi, (goal, (origin, proved, reason)) in enumerate(
-                zip(goals, records)
-            ):
-                results[gi] = GoalResult(goal, proved, reason)
             stats.goals_replayed += len(goals)
-            continue
-        if disk is not None:
-            stats.decl_misses += 1
-        snapshot = store.snapshot()
-        for gi, goal in enumerate(goals):
-            pending.append((di, gi, goal, snapshot))
-
-    # -- parallel solve phase -------------------------------------------
-    worker_state = threading.local()
-    worker_telemetries: list[SolverTelemetry] = []
-    telemetry_lock = threading.Lock()
-
-    def worker_backend() -> Backend:
-        stack = getattr(worker_state, "backend", None)
-        if stack is None:
-            local_telemetry = SolverTelemetry()
-            with telemetry_lock:
-                worker_telemetries.append(local_telemetry)
-            stack, _ = api._resolve_backend(backend, cache, local_telemetry)
-            worker_state.backend = stack
-        return stack
-
-    def solve_one(
-        task: tuple[int, int, Goal, EvarStore]
-    ) -> tuple[int, int, GoalResult, float]:
-        di, gi, goal, snapshot = task
-        task_started = time.perf_counter()
-        result = prove_goal(
-            goal, snapshot, worker_backend(), limits=limits, slicing=slicing
-        )
-        return di, gi, result, time.perf_counter() - task_started
-
-    if pending:
-        if jobs == 1:
-            outcomes = [
-                (di, gi,
-                 prove_goal(goal, snapshot, main_backend, limits=limits,
-                            slicing=slicing),
-                 0.0)
-                for di, gi, goal, snapshot in pending
+            return [
+                GoalResult(goal, proved, reason)
+                for goal, (_origin, proved, reason) in zip(goals, records)
             ]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(solve_one, pending))
-        for di, gi, result, busy in outcomes:
-            slots[di][gi] = result
-            stats.busy_seconds += busy
-    for local_telemetry in worker_telemetries:
-        telemetry.merge(local_telemetry)
 
-    goal_results: list[GoalResult] = []
-    for results in slots:
-        for result in results:
-            assert result is not None
-            goal_results.append(result)
-    for result in goal_results:
-        solve_stats.goals += 1
-        solve_stats.cases += result.cases
-        solve_stats.solve_seconds += result.elapsed
-        if result.proved:
-            solve_stats.proved += 1
-        else:
-            solve_stats.failed += 1
-        if result.budget_exhausted:
-            solve_stats.budget_exhausted += 1
-        if result.crashed:
-            solve_stats.contained_crashes += 1
-    stats.goals = solve_stats.goals
-    telemetry.budget_exhausted += solve_stats.budget_exhausted
-    telemetry.contained_crashes += solve_stats.contained_crashes
-
-    warnings = api._unreachable_warnings(
-        elab, store, main_backend, front.source, limits, slicing
+    report, by_decl = api.solve_elaboration(
+        front, name, backend_stack, telemetry,
+        limits=limits, slicing=slicing, replay=replay,
     )
-    store.end_check()
-    stats.solve_seconds = time.perf_counter() - solve_started
+    stats.solve_seconds = report.solve_seconds
+    stats.goals = report.stats.goals
 
     # -- persistence ----------------------------------------------------
     if disk is not None:
-        for decl_key, results in zip(decl_cache_keys, slots):
-            if decl_key is None:
+        for dc, results in zip(front.elab.decl_constraints, by_decl):
+            key = decl_key(dc)
+            if key is None:
                 continue
             if any(r.budget_exhausted or r.crashed for r in results):
                 # A degraded verdict ("ran out of budget" / "backend
@@ -314,26 +203,12 @@ def check_program(
                 # bigger budget or a fixed backend.  Re-solve next run.
                 continue
             disk.decl_store(
-                decl_key,
-                [(r.goal.origin, r.proved, r.reason) for r in results],
+                key, [(r.goal.origin, r.proved, r.reason) for r in results]
             )
         if persist:
             disk.absorb(cache)
 
     stats.wall_seconds = time.perf_counter() - started
-    report = CheckReport(
-        name=name,
-        source=front.source,
-        program=front.program,
-        env=front.env,
-        elab=elab,
-        goal_results=goal_results,
-        stats=solve_stats,
-        generation_seconds=front.generation_seconds,
-        solve_seconds=stats.solve_seconds,
-        warnings=warnings,
-        telemetry=telemetry,
-    )
     return DriverReport(report=report, driver=stats)
 
 
@@ -442,7 +317,6 @@ class CorpusReport:
 
     rows: list[ProgramResult]
     jobs: int
-    executor: str
     backend: str
     wall_seconds: float
     preloaded: int = 0
@@ -534,7 +408,7 @@ class CorpusReport:
             f"programs:         {len(self.rows)} "
             f"({sum(1 for r in self.rows if r.ok)} ok, "
             f"{sum(1 for r in self.rows if not r.ok)} failed)",
-            f"run:              backend={self.backend} executor={self.executor} "
+            f"run:              backend={self.backend} "
             f"jobs={self.jobs} wall {self.wall_seconds * 1000:.1f} ms, "
             f"worker utilization {self.utilization:.0%}",
             f"solver cache:     {self.cache_hits}/{self.queries} queries "
@@ -585,18 +459,20 @@ def _check_one_process(
     args: tuple[
         str, str, str | None, int | None, float | None, bool, str | None
     ],
-) -> tuple[ProgramResult, list[tuple[str, str, bool]], dict[str, list[GoalRecord]]]:
-    """Process-pool worker: check one bundled program in isolation.
+) -> ProgramResult:
+    """Process-pool worker: check one program in isolation.
 
-    Reads the on-disk cache directly (read-only), and ships fresh
-    solver verdicts and declaration records back to the parent as
-    picklable primitives; the parent folds them into its own store.
-    Budget limits travel as plain ``(max_steps, goal_timeout)``
-    primitives — each worker rebuilds the :class:`SolverLimits`, and
-    every goal gets its own deadline anchored when *its* solve starts
-    (a shared absolute deadline would penalize late-scheduled
-    programs).  The slicing flag travels the same way; each worker
-    builds its own :class:`SliceContext` inside :func:`check_program`.
+    The worker opens its own connection to the store, seeds a fresh
+    solver cache from it, and writes its own declaration records and
+    solver verdicts back (row-granular merges, so sibling workers never
+    clobber each other); only the slim :class:`ProgramResult` travels
+    back to the parent.  Budget limits travel as plain
+    ``(max_steps, goal_timeout)`` primitives — each worker rebuilds the
+    :class:`SolverLimits`, and every goal gets its own deadline anchored
+    when *its* solve starts (a shared absolute deadline would penalize
+    late-scheduled programs).  The slicing flag travels the same way;
+    each worker builds its own :class:`SliceContext` inside
+    :func:`check_program`.
     """
     (name, backend, cache_dir, max_steps, goal_timeout,
      slice_goals, source_dir) = args
@@ -606,28 +482,19 @@ def _check_one_process(
         else None
     )
     disk = open_store(cache_dir) if cache_dir is not None else None
-    cache = SolverCache(maxsize=65536)
     try:
         outcome = check_program(
             _load_source(name, source_dir),
             f"{name}.dml",
             backend=backend,
-            jobs=1,
-            cache=cache,
             disk=disk,
-            persist=False,
             limits=limits,
             slice_goals=slice_goals,
         )
-        exported = [
-            (backend_name, encode_key(key), verdict)
-            for backend_name, key, verdict in cache.entries()
-        ]
-        records = disk.decl_entries() if disk is not None else {}
     finally:
         if disk is not None:
             disk.close()
-    return _program_result(name, outcome), exported, records
+    return _program_result(name, outcome)
 
 
 def check_corpus(
@@ -635,42 +502,43 @@ def check_corpus(
     *,
     jobs: int | None = None,
     backend: str = "fourier",
-    executor: str = "thread",
+    executor: str = "process",
     cache_dir: str | None = None,
     clear: bool = False,
     limits: SolverLimits | None = None,
     slice_goals: bool = True,
     source_dir: str | None = None,
 ) -> CorpusReport:
-    """Check bundled corpus programs concurrently.
+    """Check corpus programs, one worker process per concurrent program.
 
-    ``executor="thread"`` shares one in-memory solver cache across all
-    workers (late programs reuse verdicts solved by early ones in the
-    same run); ``executor="process"`` sidesteps the GIL for CPU-bound
-    corpora — workers share only the persisted cache, and their fresh
-    verdicts are merged into the store by the parent.  ``cache_dir`` enables
-    the persistent layers (``None`` disables them); ``clear`` wipes the
+    ``jobs`` caps the worker processes (default: CPU count; never more
+    than there are programs).  With one job the programs run in this
+    process against one shared in-memory solver cache, so late programs
+    reuse verdicts solved by early ones.  ``cache_dir`` enables the
+    persistent layers (``None`` disables them); ``clear`` wipes the
     persisted state first (a guaranteed-cold run).
 
     ``source_dir`` switches the program source from the bundled corpus
     to ``*.dml`` files under a directory (names default to every stem,
     sorted) — the consumption side of ``repro fuzz --corpus-scale``.
     """
-    if executor not in ("thread", "process"):
-        raise ValueError(f"unknown executor {executor!r}")
+    # Kept for callers that name the pool (perfbench/recheck.py); the
+    # process pool is the only one.
+    if executor != "process":
+        raise ValueError(f"unknown executor {executor!r} (expected 'process')")
     if names is None:
         names = (
             _dir_names(source_dir) if source_dir is not None
             else programs.available()
         )
-    jobs = _effective_jobs(jobs)
+    jobs = min(_effective_jobs(jobs), max(len(names), 1))
     disk = open_store(cache_dir) if cache_dir is not None else None
     if disk is not None and clear:
         disk.clear()
     started = time.perf_counter()
     preloaded = 0
 
-    if executor == "process" and jobs > 1:
+    if jobs > 1:
         tasks = [
             (
                 name, backend, cache_dir,
@@ -682,44 +550,30 @@ def check_corpus(
             for name in names
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_check_one_process, tasks))
-        rows = []
-        for row, exported, records in outcomes:
-            rows.append(row)
-            if disk is not None:
-                imported = SolverCache(maxsize=len(exported) + 1)
-                for backend_name, text, verdict in exported:
-                    imported.preload(backend_name, decode_key(text), verdict)
-                disk.absorb(imported)
-                for key, decl_goals in records.items():
-                    disk.decl_store(key, decl_goals)
+            rows = list(pool.map(_check_one_process, tasks))
         if disk is not None:
             preloaded = disk.loaded_solver
     else:
         shared = SolverCache(maxsize=65536)
         if disk is not None:
             preloaded = disk.seed(shared)
-
-        def check_one(name: str) -> ProgramResult:
-            outcome = check_program(
-                _load_source(name, source_dir),
-                f"{name}.dml",
-                backend=backend,
-                jobs=1,
-                cache=shared,
-                disk=disk,
-                seed=False,
-                persist=False,
-                limits=limits,
-                slice_goals=slice_goals,
+        rows = [
+            _program_result(
+                name,
+                check_program(
+                    _load_source(name, source_dir),
+                    f"{name}.dml",
+                    backend=backend,
+                    cache=shared,
+                    disk=disk,
+                    seed=False,
+                    persist=False,
+                    limits=limits,
+                    slice_goals=slice_goals,
+                ),
             )
-            return _program_result(name, outcome)
-
-        if jobs == 1:
-            rows = [check_one(name) for name in names]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(check_one, names))
+            for name in names
+        ]
         if disk is not None:
             disk.absorb(shared)
 
@@ -730,7 +584,6 @@ def check_corpus(
     return CorpusReport(
         rows=rows,
         jobs=jobs,
-        executor=executor,
         backend=backend,
         wall_seconds=time.perf_counter() - started,
         preloaded=preloaded,

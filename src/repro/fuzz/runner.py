@@ -12,8 +12,9 @@ alone and iterations are independent of each other.
 without running the oracle — the ``--corpus-scale`` mode that blows
 the 16-program bundled corpus up by 100–1000× to stress the driver,
 verdict store, slicing, and caches (``repro check-corpus --dir``
-consumes the result; CI checks jobs=1 vs jobs=4 verdict byte-parity
-on it).
+consumes the result; CI checks on it that jobs=1, in one process, and
+jobs=4, in worker processes with and without a verdict store, give
+byte-identical verdicts).
 """
 
 from __future__ import annotations

@@ -667,8 +667,7 @@ class EvarStore:
         #: hypothesis-side proof work of every goal with those
         #: hypotheses, ``memberships`` maps ``(variable, sort)`` to the
         #: sort's membership constraint on the variable.  Each entry is
-        #: a pure function of its key, so :meth:`snapshot` shares both
-        #: rather than copying them; :meth:`end_check` empties them.
+        #: a pure function of its key; :meth:`end_check` empties them.
         self.hypotheses: dict = {}
         self.memberships: dict = {}
 
@@ -717,23 +716,6 @@ class EvarStore:
             if not solved:
                 return term
             term = subst_evars(term, solved)
-
-    def snapshot(self) -> "EvarStore":
-        """An independent copy of the current allocation/solution state.
-
-        The parallel driver hands each in-flight proof goal a snapshot
-        taken at the same pipeline point where the sequential checker
-        would have proved it, so later evar solutions (or concurrent
-        ones) cannot change its verdict.  Terms are immutable; only the
-        dictionaries need copying.
-        """
-        copy = EvarStore()
-        copy._next_uid = self._next_uid
-        copy._solutions = dict(self._solutions)
-        copy._scopes = dict(self._scopes)
-        copy.hypotheses = self.hypotheses
-        copy.memberships = self.memberships
-        return copy
 
     def end_check(self) -> None:
         """Release the per-check proof memos once the check has proved

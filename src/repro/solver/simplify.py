@@ -127,6 +127,18 @@ class SolveStats:
     #: Goals whose backend crash was contained (reported unproved).
     contained_crashes: int = 0
 
+    def add(self, result: GoalResult) -> None:
+        """Count one goal's result."""
+        self.goals += 1
+        self.cases += result.cases
+        self.solve_seconds += result.elapsed
+        if result.proved:
+            self.proved += 1
+        else:
+            self.failed += 1
+        self.budget_exhausted += result.budget_exhausted
+        self.contained_crashes += result.crashed
+
 
 class UnsupportedGoal(Exception):
     """The goal cannot be reduced to linear integer arithmetic."""
@@ -694,9 +706,7 @@ class HypothesisContext:
     (fresh-variable counter and cache, which a goal's conclusion
     continues), and the hypothesis DNF as :class:`_HypothesisCase`
     halves.  So one context serves every goal of a check that shares
-    the hypotheses — across :meth:`EvarStore.snapshot` copies and
-    driver threads alike; two threads racing to build it only waste
-    work.  Fields are filled lazily, at the point the unshared
+    the hypotheses.  Fields are filled lazily, at the point the unshared
     pipeline would compute them, so budget charges and failure modes
     stay where they were.
     """
@@ -940,23 +950,13 @@ def prove_goal(
         budget_exhausted: bool = False,
         crashed: bool = False,
     ) -> GoalResult:
-        elapsed = time.perf_counter() - started
-        if stats is not None:
-            stats.goals += 1
-            stats.cases += cases
-            stats.solve_seconds += elapsed
-            if proved:
-                stats.proved += 1
-            else:
-                stats.failed += 1
-            if budget_exhausted:
-                stats.budget_exhausted += 1
-            if crashed:
-                stats.contained_crashes += 1
-        return GoalResult(
-            goal, proved, reason, cases, elapsed,
+        result = GoalResult(
+            goal, proved, reason, cases, time.perf_counter() - started,
             budget_exhausted=budget_exhausted, crashed=crashed,
         )
+        if stats is not None:
+            stats.add(result)
+        return result
 
     context = hypothesis_context(goal, store)
     concl = store.resolve(goal.concl)
@@ -1055,8 +1055,6 @@ def prove_all(
     store: EvarStore,
     backend: Backend | None = None,
     stats: SolveStats | None = None,
-    cache: "SolverCache | None" = None,
-    telemetry: "SolverTelemetry | None" = None,
     limits: SolverLimits | None = None,
     slicing: SliceContext | None = None,
 ) -> list[GoalResult]:
@@ -1065,10 +1063,6 @@ def prove_all(
     ``slicing`` is shared across all goals, so refuted cores from one
     goal accelerate the next.
     """
-    if cache is not None or telemetry is not None:
-        from repro.solver.portfolio import instrument
-
-        backend = instrument(backend or get_backend(), telemetry, cache)
     goals = extract_goals(constraint, store)
     solved = solve_evars(goals, store)
     if stats is not None:

@@ -1,9 +1,12 @@
 """The checking driver: parity, incrementality, and fallback behavior."""
 
+import sqlite3
+from pathlib import Path
+
 import pytest
 
 from repro import api, driver, programs
-from repro.driver.store import DB_FILENAME, open_store
+from repro.driver.store import DB_FILENAME, SqliteVerdictStore, open_store
 
 GUARDED = (
     "fun f(x) = 10 div x\n"
@@ -24,33 +27,61 @@ def sequential_verdicts(name: str):
     return [(r.goal.origin, r.proved, r.reason) for r in report.goal_results]
 
 
+def store_keys(cache_dir):
+    """The persisted solver ``(backend, key)`` pairs and decl keys."""
+    with sqlite3.connect(str(Path(cache_dir, DB_FILENAME))) as conn:
+        solver = set(conn.execute("SELECT backend, key FROM solver"))
+        decls = {key for (key,) in conn.execute("SELECT key FROM decls")}
+    return solver, decls
+
+
 class TestParity:
     def test_parallel_matches_sequential_on_the_corpus(self):
         for name in programs.available():
             outcome = driver.check_program(
-                programs.load_source(name), f"{name}.dml", jobs=4
+                programs.load_source(name), f"{name}.dml"
             )
             assert outcome.verdicts == sequential_verdicts(name), name
 
-    def test_corpus_thread_executor_matches_sequential(self, tmp_path):
-        corpus = driver.check_corpus(jobs=4, cache_dir=str(tmp_path))
-        assert corpus.all_ok
-        for row in corpus.rows:
-            assert row.verdicts == sequential_verdicts(row.program), row.program
-
-    def test_corpus_process_executor_matches_thread(self, tmp_path):
+    def test_corpus_workers_match_sequential_and_persist(self, tmp_path):
         names = ["bsearch", "dotprod"]
-        threaded = driver.check_corpus(
-            names, jobs=2, executor="thread", cache_dir=None
-        )
-        forked = driver.check_corpus(
-            names, jobs=2, executor="process", cache_dir=str(tmp_path)
-        )
+        sequential = driver.check_corpus(names, jobs=1, cache_dir=None)
+        forked = driver.check_corpus(names, jobs=2, cache_dir=str(tmp_path))
+        assert forked.jobs == 2
         assert [r.verdicts for r in forked.rows] == [
-            r.verdicts for r in threaded.rows
+            r.verdicts for r in sequential.rows
         ]
-        # The parent merged and persisted the workers' verdicts.
-        assert driver.open_store(tmp_path).loaded_solver > 0
+        for row in forked.rows:
+            assert row.verdicts == sequential_verdicts(row.program), row.program
+        # The workers persisted their verdicts.
+        reopened = driver.open_store(tmp_path)
+        assert reopened.loaded_solver > 0
+        assert reopened.loaded_decls > 0
+
+    def test_parent_merges_nothing_the_workers_stored(
+        self, tmp_path, monkeypatch
+    ):
+        """Process workers write their own rows; the parent must not
+        re-ship or re-store them (forked workers count into their own
+        copies of ``calls``, not the parent's)."""
+        calls = []
+        for method in ("absorb", "decl_store"):
+            original = getattr(SqliteVerdictStore, method)
+
+            def counted(self, *args, _original=original, _name=method):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(SqliteVerdictStore, method, counted)
+        names = ["bsearch", "dotprod", "kmp"]
+        forked_dir = tmp_path / "forked"
+        report = driver.check_corpus(names, jobs=2, cache_dir=str(forked_dir))
+        assert report.all_ok
+        assert calls == []
+
+        sequential_dir = tmp_path / "sequential"
+        driver.check_corpus(names, jobs=1, cache_dir=str(sequential_dir))
+        assert store_keys(forked_dir) == store_keys(sequential_dir)
 
 
 class TestIncrementality:
@@ -126,13 +157,17 @@ class TestFallback:
         assert report.store == "sqlite"
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            driver.check_corpus(["bsearch"], executor="fiber")
+        for executor in ("fiber", "thread"):
+            with pytest.raises(ValueError):
+                driver.check_corpus(["bsearch"], executor=executor)
+
+    def test_pool_is_capped_at_the_work(self):
+        assert driver.check_corpus(["bsearch"], jobs=4).jobs == 1
 
 
 class TestGuardGoals:
     def test_failed_guard_goal_reported_but_does_not_veto_elimination(self):
-        outcome = driver.check_program(GUARDED, "guarded.dml", jobs=2)
+        outcome = driver.check_program(GUARDED, "guarded.dml")
         origins = {origin: proved for origin, proved, _ in outcome.verdicts}
         guard_failures = [
             origin

