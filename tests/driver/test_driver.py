@@ -43,16 +43,27 @@ class TestParity:
             )
             assert outcome.verdicts == sequential_verdicts(name), name
 
-    def test_corpus_workers_match_sequential_and_persist(self, tmp_path):
+    def test_corpus_thread_executor_matches_sequential(self, tmp_path):
+        """The default corpus run (forked workers, no thread pool) matches
+        a sequential ``api.check`` on every program."""
+        corpus = driver.check_corpus(jobs=4, cache_dir=str(tmp_path))
+        assert corpus.all_ok
+        for row in corpus.rows:
+            assert row.verdicts == sequential_verdicts(row.program), row.program
+
+    def test_corpus_process_executor_matches_thread(self, tmp_path):
+        """Forked workers match the in-process run on the calling thread,
+        and persist their own verdicts."""
         names = ["bsearch", "dotprod"]
-        sequential = driver.check_corpus(names, jobs=1, cache_dir=None)
-        forked = driver.check_corpus(names, jobs=2, cache_dir=str(tmp_path))
+        threaded = driver.check_corpus(names, jobs=1, cache_dir=None)
+        forked = driver.check_corpus(
+            names, jobs=2, executor="process", cache_dir=str(tmp_path)
+        )
+        assert threaded.jobs == 1
         assert forked.jobs == 2
         assert [r.verdicts for r in forked.rows] == [
-            r.verdicts for r in sequential.rows
+            r.verdicts for r in threaded.rows
         ]
-        for row in forked.rows:
-            assert row.verdicts == sequential_verdicts(row.program), row.program
         # The workers persisted their verdicts.
         reopened = driver.open_store(tmp_path)
         assert reopened.loaded_solver > 0
